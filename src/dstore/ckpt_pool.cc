@@ -128,8 +128,14 @@ void CheckpointPool::run_shard_step(size_t shard) {
   // delete the engine out from under a late checkpoint_due() probe.
   bool renotify = e != nullptr && e->checkpoint_due();
   shard_running_[shard].store(false, std::memory_order_release);
-  active_steps_.fetch_sub(1, std::memory_order_seq_cst);
-  cv_.notify_all();  // pause() waits on active_steps_ == 0
+  {
+    // Under mu_: pause() tests active_steps_ == 0 under the same lock, so
+    // the decrement cannot land between its test and its wait and leave
+    // it asleep.
+    MutexGuard g(mu_);
+    active_steps_.fetch_sub(1, std::memory_order_seq_cst);
+  }
+  cv_.notify_all();
   if (renotify) notify(shard);
 }
 

@@ -1673,6 +1673,9 @@ Status DStore::ounlock(ds_ctx_t* ctx, std::string_view name) {
 Result<uint64_t> DStore::object_size(std::string_view name) {
   if (!Key::fits(name)) return Status::invalid_argument("name too long");
   Key k = Key::from(name);
+  // Same read exclusion as oget: an in-flight writer of this object may be
+  // rewriting its metadata entry.
+  ReaderGuard guard(*this, k);
   View v = view_of(engine_->space());
   std::optional<uint64_t> found;
   {

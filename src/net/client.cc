@@ -24,8 +24,8 @@ Status status_of_frame(const Frame& f) {
   return Status(code_from_wire(f.hdr.status), f.body);
 }
 
-int64_t steady_now_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
+int64_t steady_now_us() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
@@ -189,11 +189,13 @@ Status Client::recv_some() {
       // Unknown req_id: a late completion for a dropped wait — ignore.
     }
     if (completed_.size() != before) break;
-    if (deadline_ms_ != 0) {
-      int64_t remain = deadline_ms_ - steady_now_ms();
-      if (remain > 0) {
+    if (deadline_us_ != 0) {
+      int64_t remain_us = deadline_us_ - steady_now_us();
+      if (remain_us > 0) {
+        // Round up, so the last poll does not wake short of the deadline.
+        int64_t remain_ms = (remain_us + 999) / 1000;
         pollfd pfd{fd_, POLLIN, 0};
-        int pr = poll(&pfd, 1, (int)std::min<int64_t>(remain, INT32_MAX));
+        int pr = poll(&pfd, 1, (int)std::min<int64_t>(remain_ms, INT32_MAX));
         if (pr < 0 && errno != EINTR) {
           die(Status::io_error("connection lost (poll: " +
                                std::string(strerror(errno)) + ")"));
@@ -267,7 +269,8 @@ Status Client::wait_all() {
 
 Status Client::roundtrip(Op op, std::string_view body, Frame* resp) {
   if (!dead_.is_ok()) DSTORE_RETURN_IF_ERROR(ensure_connected());
-  deadline_ms_ = cfg_.call_timeout_ms > 0 ? steady_now_ms() + cfg_.call_timeout_ms : 0;
+  deadline_us_ =
+      cfg_.call_timeout_ms > 0 ? steady_now_us() + (int64_t)cfg_.call_timeout_ms * 1000 : 0;
   uint64_t id = next_id_++;
   onwire_.insert(id);
   Status s = send_frame(op, id, body);
@@ -280,7 +283,7 @@ Status Client::roundtrip(Op op, std::string_view body, Frame* resp) {
     }
     s = recv_some();
   }
-  deadline_ms_ = 0;
+  deadline_us_ = 0;
   return s;
 }
 

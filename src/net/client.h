@@ -115,7 +115,7 @@ class Client {
   Status dead_ = Status::ok();  // non-ok once the connection is lost
   std::string host_;  // reconnect target
   uint16_t port_ = 0;
-  int64_t deadline_ms_ = 0;  // absolute steady-clock deadline; 0 = none
+  int64_t deadline_us_ = 0;  // absolute steady-clock deadline (µs); 0 = none
   obs::Counter* m_reconnects_ = nullptr;
   obs::Counter* m_timeouts_ = nullptr;
 };

@@ -3,11 +3,13 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sched.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -47,6 +49,18 @@ int64_t now_ms() {
       .count();
 }
 
+// One loop per shard, but never more loops than CPUs the server may run
+// on: a loop beyond that only time-slices with another and stretches the
+// tail of both.
+int loop_count(int shards) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  int cpus = sched_getaffinity(0, sizeof(set), &set) == 0
+                 ? CPU_COUNT(&set)
+                 : (int)std::thread::hardware_concurrency();
+  return std::max(1, std::min(shards, cpus));
+}
+
 }  // namespace
 
 struct Server::Impl {
@@ -55,24 +69,24 @@ struct Server::Impl {
   fault::FaultInjector* fault = nullptr;
   ReplHandler* repl = nullptr;
 
-  int listen_fd = -1;
-  int epoll_fd = -1;
-  int wake_fd = -1;  // stop + slow-op completion signal
+  int listen_fd = -1;  // owned by loop 0
   uint16_t port = 0;
 
-  std::thread loop_thread;
   std::thread slow_thread;
-  std::thread repl_thread;  // replicated-write quorum waits (never the loop)
+  std::thread repl_thread;  // replicated-write quorum waits (never a loop)
   std::atomic<bool> stopping{false};
   std::atomic<bool> crashed{false};
-  std::atomic<bool> draining{false};  // drain_stop: no new conns, flush, exit
-  std::atomic<bool> drained{false};   // loop confirmed the flush completed
+  std::atomic<bool> draining{false};       // drain_stop: no new conns, flush, exit
+  std::atomic<bool> accept_closed{false};  // loop 0 stopped accepting (drain)
   bool stopped = false;  // stop() ran to completion (main thread only)
 
-  // ---- connections (loop thread only) ------------------------------------
+  struct Loop;
+
+  // ---- connections (owning loop's thread only) -----------------------------
   struct Conn {
+    Loop* loop = nullptr;
     int fd = -1;
-    uint64_t id = 0;  // stable identity for slow-op completions
+    uint64_t id = 0;  // stable identity for off-loop completions
     FrameParser parser;
     std::string out;
     size_t out_off = 0;
@@ -81,29 +95,33 @@ struct Server::Impl {
     ShardedStore::Session* session = nullptr;
     int64_t last_active_ms = 0;  // idle-reaper clock (any inbound bytes)
   };
-  std::unordered_map<int, std::unique_ptr<Conn>> conns_by_fd;
-  std::unordered_map<uint64_t, Conn*> conns_by_id;
-  uint64_t next_conn_id = 1;
 
-  // ---- namespace registry (loop thread only) ------------------------------
+  // ---- namespace registry (shared by every loop) ---------------------------
+  // Entries are immutable once published and never freed before teardown,
+  // so a loop caches their addresses and takes ns_mu only for an id it has
+  // not seen yet.
   struct NsEntry {
     std::string name;
     int shard = 0;
   };
-  std::vector<NsEntry> namespaces;  // ns_id = index + 1 (0 = invalid)
+  Mutex ns_mu{"net.server.ns"};
+  std::deque<NsEntry> namespaces;  // ns_id = index + 1 (0 = invalid)
   std::unordered_map<std::string, uint32_t> ns_by_name;
 
-  // ---- off-loop completion queues: loop -> worker -> loop ------------------
-  // Two inputs, one completion stream. SCRUB runs on the slow worker; a
-  // replicated write's quorum wait (synchronous per-follower RPCs with
-  // reconnect backoff and timeouts) runs on its own worker so one slow or
-  // unreachable follower can never stall the event loop — the loop only
-  // performs the fast local store op and defers the ack by req_id.
+  // ---- off-loop work: loop -> worker -> owning loop ------------------------
+  // SCRUB runs on the slow worker; a replicated write's quorum wait
+  // (synchronous per-follower RPCs with reconnect backoff and timeouts)
+  // runs on its own worker so one slow or unreachable follower can never
+  // stall a loop — the loop only performs the fast local store op and
+  // defers the ack by req_id. Each request names its loop, and the
+  // completion lands in that loop's queue.
   struct SlowReq {
+    Loop* loop = nullptr;
     uint64_t conn_id = 0;
     uint64_t req_id = 0;
   };
   struct ReplWait {
+    Loop* loop = nullptr;
     uint64_t conn_id = 0;
     uint64_t req_id = 0;
     Op op = Op::kPut;
@@ -121,8 +139,31 @@ struct Server::Impl {
   CondVar repl_cv;
   std::deque<SlowReq> slow_in;
   std::deque<ReplWait> repl_in;
-  std::deque<SlowDone> slow_out;
-  uint32_t workers_busy = 0;  // popped but not yet in slow_out (drain gate)
+
+  // ---- event loops -----------------------------------------------------------
+  struct Loop {
+    int epoll_fd = -1;
+    int wake_fd = -1;  // stop, hand-off and completion signal
+    std::atomic<bool> drained{false};  // drain finished, thread exiting
+
+    std::unordered_map<int, std::unique_ptr<Conn>> conns_by_fd;
+    std::unordered_map<uint64_t, Conn*> conns_by_id;
+    uint64_t next_conn_id = 1;
+    std::vector<const NsEntry*> ns_cache;  // index = ns_id - 1
+
+    // Accepted fds handed over by loop 0.
+    Mutex inbox_mu{"net.server.inbox"};
+    std::vector<int> inbox;
+
+    // Guarded by slow_mu: completions for this loop's connections, and the
+    // count of requests sent off-loop and not yet taken back (drain gate).
+    std::deque<SlowDone> done;
+    uint32_t pending = 0;
+
+    std::thread thread;  // runs run_loop(this); joined by stop()
+  };
+  std::vector<std::unique_ptr<Loop>> loops;
+  size_t next_loop = 0;  // round-robin cursor (loop 0's thread only)
 
   // ---- metrics -------------------------------------------------------------
   obs::MetricsRegistry metrics;
@@ -139,17 +180,22 @@ struct Server::Impl {
   ~Impl() { teardown_fds(); }
 
   void teardown_fds() {
-    for (auto& [fd, c] : conns_by_fd) {
-      close(fd);
-      if (c->session != nullptr) store->close_session(c->session);
-      c->session = nullptr;
+    for (auto& L : loops) {
+      for (auto& [fd, c] : L->conns_by_fd) {
+        close(fd);
+        if (c->session != nullptr) store->close_session(c->session);
+        c->session = nullptr;
+      }
+      L->conns_by_fd.clear();
+      L->conns_by_id.clear();
+      for (int fd : L->inbox) close(fd);
+      L->inbox.clear();
+      if (L->epoll_fd >= 0) close(L->epoll_fd);
+      if (L->wake_fd >= 0) close(L->wake_fd);
+      L->epoll_fd = L->wake_fd = -1;
     }
-    conns_by_fd.clear();
-    conns_by_id.clear();
     if (listen_fd >= 0) close(listen_fd);
-    if (epoll_fd >= 0) close(epoll_fd);
-    if (wake_fd >= 0) close(wake_fd);
-    listen_fd = epoll_fd = wake_fd = -1;
+    listen_fd = -1;
   }
 
   Status setup() {
@@ -176,17 +222,26 @@ struct Server::Impl {
     }
     port = ntohs(addr.sin_port);
 
-    epoll_fd = epoll_create1(EPOLL_CLOEXEC);
-    if (epoll_fd < 0) return Status::io_error("epoll_create1: " + std::string(strerror(errno)));
-    wake_fd = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (wake_fd < 0) return Status::io_error("eventfd: " + std::string(strerror(errno)));
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = listen_fd;
-    epoll_ctl(epoll_fd, EPOLL_CTL_ADD, listen_fd, &ev);
-    ev.data.fd = wake_fd;
-    epoll_ctl(epoll_fd, EPOLL_CTL_ADD, wake_fd, &ev);
+    int n = loop_count(store->num_shards());
+    for (int i = 0; i < n; i++) {
+      auto L = std::make_unique<Loop>();
+      L->epoll_fd = epoll_create1(EPOLL_CLOEXEC);
+      if (L->epoll_fd < 0)
+        return Status::io_error("epoll_create1: " + std::string(strerror(errno)));
+      L->wake_fd = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+      if (L->wake_fd < 0) return Status::io_error("eventfd: " + std::string(strerror(errno)));
+      epoll_event ev{};
+      ev.events = EPOLLIN;
+      ev.data.fd = L->wake_fd;
+      epoll_ctl(L->epoll_fd, EPOLL_CTL_ADD, L->wake_fd, &ev);
+      if (i == 0) {
+        ev.data.fd = listen_fd;
+        epoll_ctl(L->epoll_fd, EPOLL_CTL_ADD, listen_fd, &ev);
+      }
+      loops.push_back(std::move(L));
+    }
 
+    metrics.gauge("net_loops", "event loops serving connections")->set(n);
     m_conns = metrics.gauge("net_connections", "currently open client connections");
     m_accepts = metrics.counter("net_accepts_total", "connections accepted");
     m_requests = metrics.counter("net_requests_total", "request frames dispatched");
@@ -204,49 +259,57 @@ struct Server::Impl {
     return Status::ok();
   }
 
-  void wake() {
+  static void wake(Loop* L) {
     uint64_t v = 1;
     // lint: allow-discard — wake loss only delays the loop one poll cycle.
-    (void)write(wake_fd, &v, sizeof(v));
+    (void)write(L->wake_fd, &v, sizeof(v));
+  }
+
+  void wake_all() {
+    for (auto& L : loops) wake(L.get());
   }
 
   // ---- crash gate ----------------------------------------------------------
   // The durable image froze under us (fault-plan kCrash): from here on,
   // every completed op ran on borrowed time and must NOT be acknowledged.
-  // Drop all pending output and shut down — clients see a disconnect, the
+  // Whichever loop sees it first stops every loop: each drops its pending
+  // output and closes its connections — clients see a disconnect, the
   // contract for "unacked, state unknown".
   bool crash_tripped() { return fault != nullptr && fault->crashed(); }
   void begin_crash_shutdown() {
     crashed.store(true, std::memory_order_release);
     stopping.store(true, std::memory_order_release);
+    wake_all();
   }
 
-  // ---- per-connection plumbing (loop thread) -------------------------------
+  // ---- per-connection plumbing (owning loop's thread) ----------------------
 
-  void add_conn(int fd) {
+  void add_conn(Loop* L, int fd) {
     auto c = std::make_unique<Conn>();
+    c->loop = L;
     c->fd = fd;
-    c->id = next_conn_id++;
+    c->id = L->next_conn_id++;
     c->parser = FrameParser(cfg.max_frame_bytes);
     c->last_active_ms = now_ms();
     Conn* raw = c.get();
-    conns_by_fd[fd] = std::move(c);
-    conns_by_id[raw->id] = raw;
+    L->conns_by_fd[fd] = std::move(c);
+    L->conns_by_id[raw->id] = raw;
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = fd;
-    epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev);
+    epoll_ctl(L->epoll_fd, EPOLL_CTL_ADD, fd, &ev);
     m_conns->add(1);
     m_accepts->inc();
   }
 
   void drop_conn(Conn* c) {
-    epoll_ctl(epoll_fd, EPOLL_CTL_DEL, c->fd, nullptr);
+    Loop* L = c->loop;
+    epoll_ctl(L->epoll_fd, EPOLL_CTL_DEL, c->fd, nullptr);
     close(c->fd);
     if (c->session != nullptr) store->close_session(c->session);
     c->session = nullptr;
-    conns_by_id.erase(c->id);
-    conns_by_fd.erase(c->fd);  // frees c
+    L->conns_by_id.erase(c->id);
+    L->conns_by_fd.erase(c->fd);  // frees c
     m_conns->add(-1);
   }
 
@@ -257,11 +320,18 @@ struct Server::Impl {
     epoll_event ev{};
     ev.events = EPOLLIN | (want ? EPOLLOUT : 0u);
     ev.data.fd = c->fd;
-    epoll_ctl(epoll_fd, EPOLL_CTL_MOD, c->fd, &ev);
+    epoll_ctl(c->loop->epoll_fd, EPOLL_CTL_MOD, c->fd, &ev);
   }
 
-  // Returns false when the connection died mid-write.
+  // Returns false when the connection died mid-write or the crash gate
+  // tripped. Output is gated here, not only after mutating ops: with
+  // several loops, a GET on one loop can read a value another loop's PUT
+  // wrote after the durable image froze, and that value must not leave.
   bool flush_conn(Conn* c) {
+    if (c->out_off < c->out.size() && crash_tripped()) {
+      begin_crash_shutdown();
+      return false;
+    }
     while (c->out_off < c->out.size()) {
       ssize_t n = ::write(c->fd, c->out.data() + c->out_off, c->out.size() - c->out_off);
       if (n > 0) {
@@ -296,7 +366,24 @@ struct Server::Impl {
 
   // ---- request dispatch ----------------------------------------------------
 
-  bool ns_valid(uint32_t ns) const { return ns >= 1 && (size_t)ns <= namespaces.size(); }
+  // ns_id -> entry (null when invalid), through the loop's private cache.
+  const NsEntry* ns_lookup(Loop* L, uint32_t ns) {
+    if (ns == 0) return nullptr;
+    if (ns > L->ns_cache.size()) {
+      MutexGuard g(ns_mu);
+      for (size_t i = L->ns_cache.size(); i < namespaces.size(); i++)
+        L->ns_cache.push_back(&namespaces[i]);
+    }
+    return ns <= L->ns_cache.size() ? L->ns_cache[ns - 1] : nullptr;
+  }
+
+  // Every connection runs its ops through its own Session, pinned to the
+  // home shard of the first namespace it touches (DESIGN.md §14): the
+  // store's shared per-shard context must not be used from several loops.
+  ShardedStore::Session* session_for(Conn* c, const NsEntry& e) {
+    if (c->session == nullptr) c->session = store->open_session(e.shard);
+    return c->session;
+  }
 
   void handle_open_ns(Conn* c, const Frame& f) {
     std::string_view name;
@@ -308,26 +395,28 @@ struct Server::Impl {
     }
     std::string key(name);
     uint32_t id;
-    auto it = ns_by_name.find(key);
-    if (it != ns_by_name.end()) {
-      id = it->second;
-    } else {
-      namespaces.push_back({key, store->shard_of(key)});
-      id = (uint32_t)namespaces.size();
-      ns_by_name.emplace(std::move(key), id);
+    const NsEntry* e;
+    {
+      MutexGuard g(ns_mu);
+      auto it = ns_by_name.find(key);
+      if (it != ns_by_name.end()) {
+        id = it->second;
+      } else {
+        namespaces.push_back({key, store->shard_of(key)});
+        id = (uint32_t)namespaces.size();
+        ns_by_name.emplace(std::move(key), id);
+      }
+      e = &namespaces[id - 1];
     }
-    const NsEntry& e = namespaces[id - 1];
-    // Affinity: pin the connection's session to its first namespace's home
-    // shard (no-op routing-wise — ops use explicit placement — but the
-    // pinned session reuses that shard's private context; DESIGN.md §14).
-    if (c->session == nullptr) c->session = store->open_session(e.shard);
-    respond(c, Op::kOpenNs, f.hdr.req_id, 0, open_ns_resp_body({id, (uint32_t)e.shard}));
+    session_for(c, *e);
+    respond(c, Op::kOpenNs, f.hdr.req_id, 0, open_ns_resp_body({id, (uint32_t)e->shard}));
   }
 
   void handle_put(Conn* c, const Frame& f) {
     uint32_t ns;
     std::string_view key, value;
-    if (!parse_put(f.body, &ns, &key, &value) || !ns_valid(ns)) {
+    const NsEntry* e = nullptr;
+    if (!parse_put(f.body, &ns, &key, &value) || (e = ns_lookup(c->loop, ns)) == nullptr) {
       respond_status(c, Op::kPut, f.hdr.req_id, Status::invalid_argument("bad put request"));
       return;
     }
@@ -336,9 +425,8 @@ struct Server::Impl {
                      Status::read_only("not the primary"));
       return;
     }
-    const NsEntry& e = namespaces[ns - 1];
-    Status s = store->put_on(c->session, e.shard, tenant_key(e.name, key), value.data(),
-                             value.size());
+    Status s = store->put_on(session_for(c, *e), e->shard, tenant_key(e->name, key),
+                             value.data(), value.size());
     if (crash_tripped()) return begin_crash_shutdown();  // never ack borrowed time
     // Replicated writes only ack once the entry reaches a quorum — awaited
     // on the repl worker, never here: blocking the loop on follower RPCs
@@ -351,7 +439,8 @@ struct Server::Impl {
   void handle_delete(Conn* c, const Frame& f) {
     uint32_t ns;
     std::string_view key;
-    if (!parse_key(f.body, &ns, &key) || !ns_valid(ns)) {
+    const NsEntry* e = nullptr;
+    if (!parse_key(f.body, &ns, &key) || (e = ns_lookup(c->loop, ns)) == nullptr) {
       respond_status(c, Op::kDelete, f.hdr.req_id,
                      Status::invalid_argument("bad delete request"));
       return;
@@ -361,8 +450,7 @@ struct Server::Impl {
                      Status::read_only("not the primary"));
       return;
     }
-    const NsEntry& e = namespaces[ns - 1];
-    Status s = store->del_on(c->session, e.shard, tenant_key(e.name, key));
+    Status s = store->del_on(session_for(c, *e), e->shard, tenant_key(e->name, key));
     if (crash_tripped()) return begin_crash_shutdown();
     if (s.is_ok() && repl != nullptr)
       return defer_repl_ack(c, Op::kDelete, f.hdr.req_id);
@@ -375,7 +463,8 @@ struct Server::Impl {
   void defer_repl_ack(Conn* c, Op op, uint64_t req_id) {
     uint64_t ticket = repl->write_ticket();
     UniqueLock l(slow_mu);
-    repl_in.push_back({c->id, req_id, op, ticket});
+    c->loop->pending++;
+    repl_in.push_back({c->loop, c->id, req_id, op, ticket});
     repl_cv.notify_one();
   }
 
@@ -383,17 +472,18 @@ struct Server::Impl {
     Op op = zero_copy ? Op::kGetZc : Op::kGet;
     uint32_t ns;
     std::string_view key;
-    if (!parse_key(f.body, &ns, &key) || !ns_valid(ns)) {
+    const NsEntry* e = nullptr;
+    if (!parse_key(f.body, &ns, &key) || (e = ns_lookup(c->loop, ns)) == nullptr) {
       respond_status(c, op, f.hdr.req_id, Status::invalid_argument("bad get request"));
       return;
     }
-    const NsEntry& e = namespaces[ns - 1];
-    std::string full = tenant_key(e.name, key);
+    ShardedStore::Session* session = session_for(c, *e);
+    std::string full = tenant_key(e->name, key);
     if (zero_copy) {
       // Zero-copy read path: serve straight from the arena/device mapping
       // (one copy, onto the wire) while the ReadView's pin holds writers
       // off. Falls back to the copying path on devices without a mapping.
-      auto view = store->get_zc_on(c->session, e.shard, full);
+      auto view = store->get_zc_on(session, e->shard, full);
       if (view.is_ok()) {
         if (view.value().size() > cfg.max_frame_bytes) {
           respond_status(c, op, f.hdr.req_id,
@@ -415,7 +505,7 @@ struct Server::Impl {
     }
     // Size-then-read; oget reports the full value size, so a concurrent
     // resize between the two calls just re-sizes the buffer and retries.
-    auto size = store->object_size_on(e.shard, full);
+    auto size = store->object_size_on(e->shard, full);
     if (!size.is_ok()) {
       respond_status(c, op, f.hdr.req_id, size.status());
       return;
@@ -428,7 +518,7 @@ struct Server::Impl {
         return;
       }
       body.resize(want);
-      auto got = store->get_on(c->session, e.shard, full, body.data(), body.size());
+      auto got = store->get_on(session, e->shard, full, body.data(), body.size());
       if (!got.is_ok()) {
         respond_status(c, op, f.hdr.req_id, got.status());
         return;
@@ -553,12 +643,16 @@ struct Server::Impl {
       case Op::kReplSubscribe: return handle_repl_subscribe(c, f);
       case Op::kReplAppend: return handle_repl_append(c, f);
       case Op::kPromote: return handle_promote_op(c, f);
+      case Op::kReplAck:
+        return respond_status(c, f.hdr.op, f.hdr.req_id,
+                              Status::unsupported("REPL_ACK is a response opcode"));
       case Op::kScrub: {
         // Slow op: runs a full integrity pass over every shard — shipped
         // to the worker so the loop keeps serving; its completion lands
         // whenever it lands (out-of-order by design).
         UniqueLock l(slow_mu);
-        slow_in.push_back({c->id, f.hdr.req_id});
+        c->loop->pending++;
+        slow_in.push_back({c->loop, c->id, f.hdr.req_id});
         slow_cv.notify_one();
         return;
       }
@@ -612,27 +706,49 @@ struct Server::Impl {
     process_frames(c);
   }
 
-  void accept_loop() {
+  // Loop 0 only: accept and deal connections round-robin over the loops.
+  // A connection stays on its loop for life, so its requests, req_id
+  // matching and Session are only ever touched by one thread.
+  void accept_loop(Loop* L0) {
     for (;;) {
       int fd = accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
       if (fd < 0) return;  // EAGAIN / transient
       set_nonblocking_opts(fd);
-      add_conn(fd);
+      Loop* to = loops[next_loop++ % loops.size()].get();
+      if (to == L0) {
+        add_conn(L0, fd);
+        continue;
+      }
+      {
+        MutexGuard g(to->inbox_mu);
+        to->inbox.push_back(fd);
+      }
+      wake(to);
     }
   }
 
-  void deliver_slow_completions() {
+  void take_inbox(Loop* L) {
+    std::vector<int> fds;
+    {
+      MutexGuard g(L->inbox_mu);
+      fds.swap(L->inbox);
+    }
+    for (int fd : fds) add_conn(L, fd);
+  }
+
+  void deliver_slow_completions(Loop* L) {
     // Same borrowed-time gate as inline ops: a completion computed after
     // the durable image froze must not be acknowledged.
     if (crash_tripped()) return begin_crash_shutdown();
     std::deque<SlowDone> done;
     {
       UniqueLock l(slow_mu);
-      done.swap(slow_out);
+      done.swap(L->done);
+      L->pending -= (uint32_t)done.size();
     }
     for (SlowDone& d : done) {
-      auto it = conns_by_id.find(d.conn_id);
-      if (it == conns_by_id.end()) continue;  // connection died meanwhile
+      auto it = L->conns_by_id.find(d.conn_id);
+      if (it == L->conns_by_id.end()) continue;  // connection died meanwhile
       Conn* c = it->second;
       m_slow_ops->inc();
       respond(c, d.op, d.req_id, d.status, d.body);
@@ -640,13 +756,13 @@ struct Server::Impl {
     }
   }
 
-  // Drop connections that sent nothing for cfg.idle_timeout_ms (loop
-  // thread; runs at most once per poll cycle).
-  void reap_idle() {
+  // Drop connections that sent nothing for cfg.idle_timeout_ms (runs at
+  // most once per poll cycle).
+  void reap_idle(Loop* L) {
     if (cfg.idle_timeout_ms == 0) return;
     int64_t cutoff = now_ms() - (int64_t)cfg.idle_timeout_ms;
     std::vector<Conn*> idle;
-    for (auto& [fd, c] : conns_by_fd) {
+    for (auto& [fd, c] : L->conns_by_fd) {
       if (c->last_active_ms < cutoff) idle.push_back(c.get());
     }
     for (Conn* c : idle) {
@@ -655,63 +771,69 @@ struct Server::Impl {
     }
   }
 
-  // Drain bookkeeping: once draining, stop accepting, finish what's
-  // buffered, and report back through `drained` when everything (requests,
-  // slow-op completions, response bytes) has left the building.
-  bool drain_complete() {
+  // Drain bookkeeping: once draining, loop 0 stops accepting, every loop
+  // finishes what's buffered and reports back through its `drained` flag
+  // when everything it owns (hand-offs, requests, off-loop completions,
+  // response bytes) has left the building.
+  bool drain_complete(Loop* L) {
+    if (!accept_closed.load(std::memory_order_acquire)) return false;
+    {
+      MutexGuard g(L->inbox_mu);
+      if (!L->inbox.empty()) return false;
+    }
     {
       UniqueLock l(slow_mu);
-      if (!slow_in.empty() || !repl_in.empty() || !slow_out.empty() ||
-          workers_busy != 0)
-        return false;
+      if (L->pending != 0) return false;
     }
-    for (auto& [fd, c] : conns_by_fd) {
+    for (auto& [fd, c] : L->conns_by_fd) {
       if (c->out_off < c->out.size() || c->parser.buffered() > 0) return false;
     }
     return true;
   }
 
-  void loop() {
+  void run_loop(Loop* L) {
     epoll_event events[256];
-    bool accepting = true;
+    bool accepting = L == loops[0].get();
     while (!stopping.load(std::memory_order_acquire)) {
-      int n = epoll_wait(epoll_fd, events, 256, 100);
+      int n = epoll_wait(L->epoll_fd, events, 256, 100);
       if (n < 0) {
         if (errno == EINTR) continue;
         break;
       }
       // A background pool worker may have hit the crash point between
       // polls; stop acking immediately, not on the next mutating op.
-      if (crash_tripped() && !crashed.load(std::memory_order_acquire)) {
+      if (crash_tripped()) {
         begin_crash_shutdown();
         break;
       }
-      reap_idle();
+      reap_idle(L);
       if (draining.load(std::memory_order_acquire)) {
         if (accepting) {
-          epoll_ctl(epoll_fd, EPOLL_CTL_DEL, listen_fd, nullptr);
+          epoll_ctl(L->epoll_fd, EPOLL_CTL_DEL, listen_fd, nullptr);
           accepting = false;
+          accept_closed.store(true, std::memory_order_release);
         }
-        if (drain_complete()) {
-          drained.store(true, std::memory_order_release);
+        if (drain_complete(L)) {
+          L->drained.store(true, std::memory_order_release);
           break;
         }
       }
       for (int i = 0; i < n && !stopping.load(std::memory_order_acquire); i++) {
         int fd = events[i].data.fd;
         if (fd == listen_fd) {
-          accept_loop();
+          if (accepting) accept_loop(L);
           continue;
         }
-        if (fd == wake_fd) {
+        if (fd == L->wake_fd) {
           uint64_t v;
           // lint: allow-discard — the wakeup itself is the payload.
-          (void)read(wake_fd, &v, sizeof(v));
-          deliver_slow_completions();
+          (void)read(L->wake_fd, &v, sizeof(v));
+          take_inbox(L);
+          deliver_slow_completions(L);
           continue;
         }
-        auto it = conns_by_fd.find(fd);
-        if (it == conns_by_fd.end()) continue;  // closed earlier this batch
+        auto it = L->conns_by_fd.find(fd);
+        if (it == L->conns_by_fd.end()) continue;  // closed earlier this batch
         Conn* c = it->second.get();
         if (events[i].events & (EPOLLHUP | EPOLLERR)) {
           drop_conn(c);
@@ -728,7 +850,7 @@ struct Server::Impl {
     // its ack must observe EOF ("unacked, unknown") rather than hang until
     // stop(). stop() joins this thread before its own teardown, so the two
     // cleanups never race.
-    while (!conns_by_fd.empty()) drop_conn(conns_by_fd.begin()->second.get());
+    while (!L->conns_by_fd.empty()) drop_conn(L->conns_by_fd.begin()->second.get());
   }
 
   void slow_loop() {
@@ -742,7 +864,6 @@ struct Server::Impl {
         if (stopping.load(std::memory_order_acquire)) return;
         req = slow_in.front();
         slow_in.pop_front();
-        workers_busy++;
       }
       DStore::ScrubReport report;
       Status s = store->scrub_all(&report);
@@ -754,19 +875,18 @@ struct Server::Impl {
       sum.quarantined_pages = report.quarantined_pages;
       {
         UniqueLock l(slow_mu);
-        workers_busy--;
-        slow_out.push_back({req.conn_id, req.req_id, Op::kScrub,
-                            wire_byte_of(s.code()),
-                            s.is_ok() ? scrub_resp_body(sum) : s.message()});
+        req.loop->done.push_back({req.conn_id, req.req_id, Op::kScrub,
+                                  wire_byte_of(s.code()),
+                                  s.is_ok() ? scrub_resp_body(sum) : s.message()});
       }
-      wake();
+      wake(req.loop);
     }
   }
 
   // Replicated-write completions: await the quorum off-loop, post the ack
-  // back through the completion queue. FIFO per server, so one worker
-  // round-trip typically covers every write queued behind it (shipping
-  // drains the whole decided backlog and the watermark is monotone).
+  // back to the owning loop. FIFO per server, so one worker round-trip
+  // typically covers every write queued behind it (shipping drains the
+  // whole decided backlog and the watermark is monotone).
   void repl_loop() {
     for (;;) {
       ReplWait w;
@@ -778,16 +898,14 @@ struct Server::Impl {
         if (stopping.load(std::memory_order_acquire)) return;
         w = repl_in.front();
         repl_in.pop_front();
-        workers_busy++;
       }
       Status s = repl->await_ticket(w.ticket);
       {
         UniqueLock l(slow_mu);
-        workers_busy--;
-        slow_out.push_back({w.conn_id, w.req_id, w.op, wire_byte_of(s.code()),
-                            s.is_ok() ? std::string() : s.message()});
+        w.loop->done.push_back({w.conn_id, w.req_id, w.op, wire_byte_of(s.code()),
+                                s.is_ok() ? std::string() : s.message()});
       }
-      wake();
+      wake(w.loop);
     }
   }
 };
@@ -808,7 +926,10 @@ Result<std::unique_ptr<Server>> Server::start(ShardedStore* store, ServerConfig 
   im.repl = repl;
   Status s = im.setup();
   if (!s.is_ok()) return s;
-  im.loop_thread = std::thread([&im] { im.loop(); });
+  for (auto& L : im.loops) {
+    Impl::Loop* raw = L.get();
+    L->thread = std::thread([&im, raw] { im.run_loop(raw); });
+  }
   im.slow_thread = std::thread([&im] { im.slow_loop(); });
   if (repl != nullptr) im.repl_thread = std::thread([&im] { im.repl_loop(); });
   return srv;
@@ -818,10 +939,15 @@ void Server::drain_stop(uint32_t timeout_ms) {
   Impl& im = *impl_;
   if (im.stopped) return;
   im.draining.store(true, std::memory_order_release);
-  im.wake();
+  im.wake_all();
   int64_t deadline = now_ms() + (int64_t)timeout_ms;
-  while (!im.drained.load(std::memory_order_acquire) && now_ms() < deadline &&
-         im.loop_thread.joinable()) {
+  auto all_drained = [&im] {
+    for (auto& L : im.loops)
+      if (!L->drained.load(std::memory_order_acquire)) return false;
+    return true;
+  };
+  while (!all_drained() && !im.stopping.load(std::memory_order_acquire) &&
+         now_ms() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   stop();
@@ -832,13 +958,14 @@ void Server::stop() {
   if (im.stopped) return;
   im.stopped = true;
   im.stopping.store(true, std::memory_order_release);
-  im.wake();
+  im.wake_all();
   {
     UniqueLock l(im.slow_mu);
     im.slow_cv.notify_all();
     im.repl_cv.notify_all();
   }
-  if (im.loop_thread.joinable()) im.loop_thread.join();
+  for (auto& L : im.loops)
+    if (L->thread.joinable()) L->thread.join();
   if (im.slow_thread.joinable()) im.slow_thread.join();
   if (im.repl_thread.joinable()) im.repl_thread.join();
   im.teardown_fds();

@@ -1,10 +1,15 @@
-// Async RPC server for DStore (DESIGN.md §15): one epoll event loop, a
-// per-connection state machine, no thread-per-connection. Connection
+// Async RPC server for DStore (DESIGN.md §15.2): one epoll event loop per
+// shard, capped at the CPUs the server may run on, with a per-connection
+// state machine and no thread-per-connection. Loop 0 owns the listening
+// socket and deals accepted connections round-robin to the loops through
+// a per-loop inbox and eventfd; a connection never migrates, so its
+// requests, req_id matching and Session stay on one thread. Connection
 // handling mirrors the ssd::IoQueue submit/complete idiom — requests are
 // submissions tagged with req_id, responses are completions, and they may
-// finish out of order: fast data ops execute inline on the loop (emulated
-// PMEM/SSD ops are microseconds), slow ops (SCRUB) are shipped to a
-// background worker and their completions posted back through an eventfd.
+// finish out of order: fast data ops execute inline on the connection's
+// loop (emulated PMEM/SSD ops are microseconds), slow ops (SCRUB) and
+// replicated-write quorum waits go to one of two workers, whose
+// completions return to the owning loop's queue through its eventfd.
 //
 // Tenancy: each namespace lives wholly on ONE ShardedStore shard — its
 // home is shard_of(ns_name), recomputable after any restart, so the
@@ -12,14 +17,16 @@
 // "<ns>\x1f<key>" via the explicit-placement session ops; each connection
 // carries an affinity Session, pinned to its first namespace's home shard
 // (the common one-tenant-per-connection case routes every op through that
-// shard's private context with no per-op hashing).
+// shard's private context with no per-op hashing). The namespace registry
+// is shared by all loops; ns_ids are server-wide.
 //
-// Crash discipline: when a FaultInjector is wired, the loop re-checks
+// Crash discipline: when a FaultInjector is wired, a loop re-checks
 // injector->crashed() after executing every mutating op and BEFORE
-// queueing the ack. Once the durable image is frozen, nothing further is
-// acknowledged and the server shuts down — so "acked" always implies
-// "committed before the crash", the invariant the server crash rig
-// verifies (tests/net_test.cc).
+// queueing the ack, before writing any response bytes, and once per poll
+// cycle. The first loop to see the durable image frozen stops every loop:
+// nothing further is acknowledged and no value read after the freeze is
+// returned — so "acked" (or "seen") always implies "committed before the
+// crash", the invariant the server crash rig verifies (tests/net_test.cc).
 #pragma once
 
 #include <cstdint>
@@ -52,7 +59,9 @@ struct ServerConfig {
 
 class Server {
  public:
-  // Binds, listens, and starts the loop + slow-op worker threads. The
+  // Binds, listens, and starts the event loops and the off-loop workers.
+  // The loop count is min(store->num_shards(), CPUs in the calling
+  // thread's affinity mask); loop threads inherit that mask. The
   // store must outlive the server. `fault` (optional) is the injector
   // wired into the store's crash-sim shard — the ack gate above. `repl`
   // (optional) attaches a replication node (DESIGN.md §16): the four
@@ -63,12 +72,12 @@ class Server {
                                                ReplHandler* repl = nullptr);
   ~Server();
 
-  // Idempotent; joins both threads and closes every connection.
+  // Idempotent; joins every thread and closes every connection.
   void stop();
 
   // Graceful shutdown: stop accepting, finish dispatching what's already
-  // buffered, flush every response (including queued slow-op completions),
-  // then stop. Falls back to a hard stop() at the deadline.
+  // buffered, flush every response (including queued slow-op completions)
+  // on every loop, then stop. Falls back to a hard stop() at the deadline.
   void drain_stop(uint32_t timeout_ms = 1000);
 
   uint16_t port() const;

@@ -3,12 +3,18 @@
 // server + client library end to end (pipelining, out-of-order completion,
 // tenant isolation, metrics over the wire), and — under fault injection —
 // the server crash rig: a fault plan kills the live server mid-checkpoint
-// and recovery is held to a zero-acked-write-loss oracle.
+// and recovery is held to a zero-acked-write-loss oracle. The fixture's
+// two shards give the server two event loops on any host with two CPUs,
+// so connections are dealt across loops throughout.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sched.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <map>
@@ -489,6 +495,71 @@ struct ServerFixture {
       if (store->shard_of(name) == shard) return name;
     }
   }
+
+  // The server's loop count. Loop 0 deals accepted connections
+  // round-robin, so on a fresh server the i-th connection opened (one
+  // after another) lands on loop i % loops().
+  int loops() { return (int)server->metrics().value("net_loops"); }
+};
+
+// The loop count the server derives: one per shard, at most one per CPU
+// the process may run on.
+int expected_loops(int shards) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  EXPECT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  return std::min(shards, CPU_COUNT(&set));
+}
+
+// A bare DSTP connection, for tests that watch the order of frames on the
+// wire or must leave responses unread.
+struct RawConn {
+  int fd = -1;
+  FrameParser parser;
+
+  explicit RawConn(uint16_t port) {
+    fd = socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    // A fixed small receive buffer (no autotuning), so unread responses
+    // back up into the server's output queue.
+    int rcvbuf = 64 * 1024;
+    setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    EXPECT_EQ(::connect(fd, (sockaddr*)&addr, sizeof(addr)), 0);
+    timeval tv{10, 0};  // a frame that never comes fails the test, no hang
+    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
+  ~RawConn() { close(fd); }
+
+  bool send_all(const std::string& out) {
+    return ::send(fd, out.data(), out.size(), 0) == (ssize_t)out.size();
+  }
+  // Next whole frame; false on EOF (and then `eof` is set) or after 10 s
+  // without one.
+  bool read_frame(Frame* f) {
+    for (;;) {
+      if (parser.next(f) == FrameParser::Next::kFrame) return true;
+      char buf[64 * 1024];
+      ssize_t n = ::read(fd, buf, sizeof(buf));
+      if (n == 0) eof = true;
+      if (n <= 0) return false;
+      parser.feed(buf, (size_t)n);
+    }
+  }
+  bool eof = false;  // the server closed the connection
+  uint32_t open_ns(const std::string& name) {
+    std::string out;
+    append_frame(&out, Op::kOpenNs, 1, 0, open_ns_body(name));
+    Frame f;
+    NamespaceInfo info;
+    EXPECT_TRUE(send_all(out));
+    EXPECT_TRUE(read_frame(&f));
+    EXPECT_TRUE(parse_open_ns_resp(f.body, &info));
+    return info.ns_id;
+  }
 };
 
 TEST(NetEndToEnd, PutGetDeleteRoundTrip) {
@@ -587,51 +658,39 @@ TEST(NetEndToEnd, PipelinedSubmissionsCompleteAndMatchById) {
 }
 
 // SCRUB is shipped off-loop; a PUT pipelined BEHIND it must complete first.
-// Uses a raw socket: the completion order on the wire is the observable.
+// Sent on loop 1, its completion must come back to its own connection, not
+// to the loop-0 one. Uses raw sockets: the completion order on the wire is
+// the observable.
 TEST(NetEndToEnd, SlowOpsCompleteOutOfOrder) {
   ServerFixture fx;
-  int fd = socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(fx.server->port());
-  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(::connect(fd, (sockaddr*)&addr, sizeof(addr)), 0);
-
-  std::string out;
-  append_frame(&out, Op::kOpenNs, 1, 0, open_ns_body("ooo"));
-  ASSERT_EQ(::send(fd, out.data(), out.size(), 0), (ssize_t)out.size());
-
-  FrameParser parser;
-  Frame f;
-  auto read_frame = [&]() {
-    for (;;) {
-      if (parser.next(&f) == FrameParser::Next::kFrame) return true;
-      char buf[4096];
-      ssize_t n = ::read(fd, buf, sizeof(buf));
-      if (n <= 0) return false;
-      parser.feed(buf, (size_t)n);
-    }
-  };
-  ASSERT_TRUE(read_frame());
-  NamespaceInfo info;
-  ASSERT_TRUE(parse_open_ns_resp(f.body, &info));
+  RawConn first(fx.server->port());  // loop 0
+  RawConn raw(fx.server->port());    // loop 1 when there are two
+  uint32_t ns = raw.open_ns("ooo");
 
   // One write, two requests: SCRUB (req 5) then PUT (req 6).
-  out.clear();
+  std::string out;
   append_frame(&out, Op::kScrub, 5, 0, "");
-  append_frame(&out, Op::kPut, 6, 0, put_body(info.ns_id, "k", "v", 1));
-  ASSERT_EQ(::send(fd, out.data(), out.size(), 0), (ssize_t)out.size());
+  append_frame(&out, Op::kPut, 6, 0, put_body(ns, "k", "v", 1));
+  ASSERT_TRUE(raw.send_all(out));
 
-  ASSERT_TRUE(read_frame());
+  Frame f;
+  ASSERT_TRUE(raw.read_frame(&f));
   EXPECT_EQ(f.hdr.req_id, 6u) << "PUT should complete before the off-loop SCRUB";
   EXPECT_EQ(f.hdr.status, 0u);
-  ASSERT_TRUE(read_frame());
+  ASSERT_TRUE(raw.read_frame(&f));
   EXPECT_EQ(f.hdr.req_id, 5u);
   ScrubSummary sum;
   ASSERT_TRUE(parse_scrub_resp(f.body, &sum));
   EXPECT_GE(sum.objects_scanned, 0u);
-  close(fd);
+
+  // The loop-0 connection got nothing: its first frame answers its own
+  // heartbeat.
+  out.clear();
+  append_frame(&out, Op::kHeartbeat, 9, 0, heartbeat_body({}));
+  ASSERT_TRUE(first.send_all(out));
+  ASSERT_TRUE(first.read_frame(&f));
+  EXPECT_EQ(f.hdr.req_id, 9u);
+  EXPECT_EQ(f.hdr.op, Op::kHeartbeat);
 }
 
 TEST(NetEndToEnd, MetricsScrapeOverTheWire) {
@@ -674,33 +733,16 @@ TEST(NetEndToEnd, ScrubReportsMergedFleetCounters) {
 
 TEST(NetEndToEnd, ProtocolGarbageGetsErrorFrameThenDisconnect) {
   ServerFixture fx;
-  int fd = socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(fx.server->port());
-  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(::connect(fd, (sockaddr*)&addr, sizeof(addr)), 0);
-  std::string junk = "this is not a DSTP frame at all.........";
-  ASSERT_GT(::send(fd, junk.data(), junk.size(), 0), 0);
+  RawConn raw(fx.server->port());
+  ASSERT_TRUE(raw.send_all("this is not a DSTP frame at all........."));
 
   // The server flushes one error frame (req 0), then closes.
-  FrameParser parser;
   Frame f;
-  bool got_error_frame = false;
-  for (;;) {
-    char buf[4096];
-    ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n <= 0) break;  // clean EOF after the error frame
-    parser.feed(buf, (size_t)n);
-    if (parser.next(&f) == FrameParser::Next::kFrame) {
-      got_error_frame = true;
-      EXPECT_NE(f.hdr.status, 0u);
-      EXPECT_EQ(f.hdr.req_id, 0u);
-    }
-  }
-  EXPECT_TRUE(got_error_frame);
-  close(fd);
+  ASSERT_TRUE(raw.read_frame(&f));
+  EXPECT_NE(f.hdr.status, 0u);
+  EXPECT_EQ(f.hdr.req_id, 0u);
+  EXPECT_FALSE(raw.read_frame(&f));
+  EXPECT_TRUE(raw.eof) << "no EOF after the error frame: the server kept the connection";
 }
 
 TEST(NetEndToEnd, HeartbeatIsAnsweredByAPlainServer) {
@@ -831,6 +873,154 @@ TEST(NetEndToEnd, CallTimeoutKillsTheConnectionAndCountsIt) {
   close(lfd);
 }
 
+// REPL_ACK only ever travels server -> client. Sent as a request it gets an
+// explicit UNSUPPORTED on its own req_id, and the connection stays up.
+TEST(NetEndToEnd, ReplAckRequestIsUnsupported) {
+  ServerFixture fx;
+  auto client = fx.connect();
+  Frame resp;
+  ASSERT_TRUE(client->call(Op::kReplAck, repl_ack_body({}), &resp).is_ok());
+  EXPECT_EQ(resp.hdr.op, Op::kReplAck);
+  EXPECT_EQ(resp.hdr.status, (uint8_t)Code::kUnsupported);
+  ASSERT_TRUE(client->call(Op::kHeartbeat, heartbeat_body({}), &resp).is_ok());
+  EXPECT_EQ(resp.hdr.status, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Several event loops: hand-off, shared namespaces, drain
+// ---------------------------------------------------------------------------
+
+TEST(NetMultiLoop, PipelinedConnectionsSpreadOverLoopsKeepOrder) {
+  ServerFixture fx;
+  ASSERT_EQ(fx.loops(), expected_loops(fx.cfg.num_shards));
+  if (fx.loops() < 2) GTEST_SKIP() << "one CPU in the affinity mask: one loop";
+  constexpr int kConns = 8;
+  std::vector<std::unique_ptr<Client>> clients;
+  // Round-robin hand-off: every loop holds kConns / loops() of them.
+  for (int i = 0; i < kConns; i++) clients.push_back(fx.connect());
+
+  // Each connection pipelines put/get pairs on one key, all connections at
+  // once. A get returning the put just before it shows the connection's
+  // requests ran in order; every id must be answered.
+  constexpr int kPairs = 100;
+  std::vector<std::thread> threads;
+  std::vector<std::string> errors(kConns);
+  for (int t = 0; t < kConns; t++) {
+    threads.emplace_back([&, t] {
+      Client& c = *clients[(size_t)t];
+      auto ns = c.open_namespace("pipe-" + std::to_string(t % 3));
+      if (!ns.is_ok()) return void(errors[(size_t)t] = ns.status().to_string());
+      uint32_t id = ns.value().ns_id;
+      std::string key = "conn" + std::to_string(t);
+      std::vector<std::pair<uint64_t, uint64_t>> ids;  // (put, get)
+      for (int i = 0; i < kPairs; i++) {
+        std::string val = key + "-v" + std::to_string(i);
+        auto p = c.submit_put(id, key, val.data(), val.size());
+        auto g = c.submit_get(id, key);
+        if (!p.is_ok() || !g.is_ok()) return void(errors[(size_t)t] = "submit failed");
+        ids.emplace_back(p.value(), g.value());
+      }
+      for (int i = 0; i < kPairs; i++) {
+        std::string got;
+        Status ps = c.wait(ids[(size_t)i].first);
+        Status gs = c.wait(ids[(size_t)i].second, &got);
+        std::string want = key + "-v" + std::to_string(i);
+        if (!ps.is_ok() || !gs.is_ok() || got != want) {
+          errors[(size_t)t] = "pair " + std::to_string(i) + ": got '" + got + "' want '" +
+                              want + "' " + ps.to_string() + " " + gs.to_string();
+          return;
+        }
+      }
+      if (c.in_flight() != 0) errors[(size_t)t] = "responses left unmatched";
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kConns; t++) EXPECT_EQ(errors[(size_t)t], "") << "connection " << t;
+}
+
+// ns_ids are server-wide: the registry is shared by every loop.
+TEST(NetMultiLoop, NamespaceIsSharedAcrossLoops) {
+  ServerFixture fx;
+  if (fx.loops() < 2) GTEST_SKIP() << "one CPU in the affinity mask: one loop";
+  auto a = fx.connect();  // loop 0
+  auto b = fx.connect();  // loop 1
+  ASSERT_TRUE(a->open_namespace("a-first").is_ok());  // ids are not per loop
+  auto na = a->open_namespace("shared");
+  auto nb = b->open_namespace("shared");
+  ASSERT_TRUE(na.is_ok());
+  ASSERT_TRUE(nb.is_ok());
+  EXPECT_EQ(na.value().ns_id, nb.value().ns_id);
+  EXPECT_EQ(na.value().shard, nb.value().shard);
+
+  uint32_t id = na.value().ns_id;
+  ASSERT_TRUE(a->put(id, "from-a", "1", 1).is_ok());
+  ASSERT_TRUE(b->put(id, "from-b", "2", 1).is_ok());
+  EXPECT_EQ(b->get(id, "from-a").value(), "1");
+  EXPECT_EQ(a->get(id, "from-b").value(), "2");
+  ASSERT_TRUE(b->del(id, "from-a").is_ok());
+  EXPECT_EQ(a->get(id, "from-a").status().code(), Code::kNotFound);
+}
+
+// drain_stop with responses still queued on every loop: each loop flushes
+// its own output (GET bodies too large for the socket buffers, plus an
+// off-loop SCRUB) before the server stops.
+TEST(NetMultiLoop, DrainStopFlushesEveryLoop) {
+  ServerFixture fx;
+  int loops = fx.loops();
+  std::vector<std::unique_ptr<RawConn>> conns;
+  // One connection per loop (round-robin hand-off).
+  for (int i = 0; i < loops; i++) conns.push_back(std::make_unique<RawConn>(fx.server->port()));
+
+  constexpr int kGets = 128;
+  const std::string value(64 * 1024, 'd');
+  for (auto& c : conns) {
+    uint32_t ns = c->open_ns("drain");
+    std::string out;
+    append_frame(&out, Op::kPut, 2, 0, put_body(ns, "big", value.data(), value.size()));
+    ASSERT_TRUE(c->send_all(out));
+    Frame f;
+    ASSERT_TRUE(c->read_frame(&f));
+    ASSERT_EQ(f.hdr.status, 0u);
+    out.clear();
+    append_frame(&out, Op::kScrub, 3, 0, "");
+    for (int i = 0; i < kGets; i++)
+      append_frame(&out, Op::kGet, 10 + (uint64_t)i, 0, key_body(ns, "big"));
+    ASSERT_TRUE(c->send_all(out));
+  }
+  // Every request is dispatched before the drain starts; nothing is read.
+  const double dispatched = (double)loops * (2 + 1 + kGets);
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fx.server->metrics().value("net_requests_total") < dispatched &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(fx.server->metrics().value("net_requests_total"), dispatched);
+
+  constexpr uint32_t kTimeoutMs = 20000;
+  auto t0 = std::chrono::steady_clock::now();
+  std::thread drainer([&] { fx.server->drain_stop(kTimeoutMs); });
+  for (auto& c : conns) {
+    int gets = 0;
+    bool scrub = false;
+    Frame f;
+    while (c->read_frame(&f)) {
+      EXPECT_EQ(f.hdr.status, 0u) << "req " << f.hdr.req_id;
+      if (f.hdr.op == Op::kScrub) {
+        scrub = true;
+      } else {
+        EXPECT_EQ(f.body.size(), value.size());
+        gets++;
+      }
+    }
+    EXPECT_TRUE(c->eof) << "connection not closed by the drain";
+    EXPECT_EQ(gets, kGets);
+    EXPECT_TRUE(scrub) << "off-loop completion lost in the drain";
+  }
+  drainer.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(kTimeoutMs))
+      << "drain hit its deadline instead of completing";
+  EXPECT_FALSE(fx.server->crashed());
+}
+
 // ---------------------------------------------------------------------------
 // Replication over the wire: the epoch fence as the divergence oracle
 // ---------------------------------------------------------------------------
@@ -930,43 +1120,78 @@ TEST(ReplWire, EpochFenceRejectsAStalePrimaryOverTheWire) {
 
 // Kill the live server mid-checkpoint via a fault plan, then hold recovery
 // to the oracle: every ACKED write survives (zero acked-write loss); the
-// single op in flight at the crash is unknown-by-contract. The old client
-// observes a clean connection error (not a hang, not a garbage frame), and
-// a new server over the recovered store serves the verified state.
+// single op in flight at the crash is unknown-by-contract. The writes come
+// from two connections on two loops, so whichever loop sees the crash
+// first must stop the other before it acks anything more. A third
+// connection keeps reading the key being written: every value it was
+// sent must survive too — a read served on one loop must not leak a write
+// another loop made after the freeze. All old clients observe a clean
+// connection error (not a hang, not a garbage frame), and a new server
+// over the recovered store serves the verified state.
 TEST(NetCrashRig, KillMidCheckpointLosesNoAckedWrite) {
   fault::FaultInjector inj;
   ServerFixture fx(&inj, pmem::Pool::Mode::kCrashSim);
-  auto client = fx.connect();
+  EXPECT_EQ(fx.loops(), expected_loops(fx.cfg.num_shards));
+  // Round-robin hand-off: writers on loops 0 and 1, the reader on loop 0.
+  std::unique_ptr<Client> clients[3] = {fx.connect(), fx.connect(), fx.connect()};
+  Client& reader = *clients[2];
 
   // The tenant must live on the faulted shard for the plan to bite.
   std::string ns_name = fx.ns_name_on_shard(fx.cfg.fault_shard);
-  auto ns = client->open_namespace(ns_name);
-  ASSERT_TRUE(ns.is_ok());
-  uint32_t id = ns.value().ns_id;
+  uint32_t id = 0;
+  for (auto& c : clients) {
+    auto ns = c->open_namespace(ns_name);
+    ASSERT_TRUE(ns.is_ok());
+    id = ns.value().ns_id;
+  }
 
   inj.set_plan(fault::FaultPlan::crash_at("engine.ckpt.begin", 1));
   inj.arm();
 
-  // Hammer puts until the crash cuts the connection. Acked => in oracle.
+  // Hammer puts, alternating writer connections, until the crash cuts one.
+  // Acked => in oracle. Meanwhile the reader gets the key in flight; each
+  // value it is sent is one a client saw.
+  std::atomic<int> writing{0};  // index of the put being issued
+  std::atomic<bool> writers_done{false};
+  std::map<std::string, std::string> seen;
+  std::thread reader_thread([&] {
+    while (!writers_done.load(std::memory_order_acquire)) {
+      std::string key = "obj-" + std::to_string(writing.load(std::memory_order_acquire));
+      auto r = reader.get(id, key);
+      if (r.is_ok()) {
+        seen[key] = r.value();
+      } else if (r.status().code() != Code::kNotFound) {
+        return;  // the server went away
+      }
+    }
+  });
   std::map<std::string, std::string> oracle;
   std::string pending_key;  // the unacked op in flight at the crash
   for (int i = 0; i < 20000; i++) {
     std::string key = "obj-" + std::to_string(i);
     std::string val(1 + (size_t)(i % 700), (char)('a' + i % 26));
-    Status s = client->put(id, key, val.data(), val.size());
+    writing.store(i, std::memory_order_release);
+    Status s = clients[i % 2]->put(id, key, val.data(), val.size());
     if (!s.is_ok()) {
       pending_key = key;
       break;
     }
     oracle[key] = val;
   }
+  writers_done.store(true, std::memory_order_release);
+  reader_thread.join();
   ASSERT_TRUE(inj.crashed()) << "fault plan never fired — no checkpoint started?";
   ASSERT_FALSE(pending_key.empty()) << "client never observed the crash";
+  EXPECT_FALSE(seen.empty()) << "the reader never saw a value";
 
-  // The old connection reports a clean error on every later call.
-  Status after = client->put(id, "post-crash", "x", 1);
-  EXPECT_FALSE(after.is_ok());
-  EXPECT_EQ(after.code(), Code::kIoError);
+  // Every old connection reports a clean error on every later call, reads
+  // included: the crash stopped every loop, not just the one that saw it.
+  for (auto& c : clients) {
+    EXPECT_EQ(c->get(id, "obj-0").status().code(), Code::kIoError);
+    Status after = c->put(id, "post-crash", "x", 1);
+    EXPECT_FALSE(after.is_ok());
+    EXPECT_EQ(after.code(), Code::kIoError);
+  }
 
   fx.server->stop();
   EXPECT_TRUE(fx.server->crashed());
@@ -985,6 +1210,14 @@ TEST(NetCrashRig, KillMidCheckpointLosesNoAckedWrite) {
     ASSERT_EQ(r.value(), val.size()) << "acked write truncated: " << key;
     EXPECT_EQ(std::string(buf.data(), r.value()), val) << "acked write corrupt: " << key;
   }
+  // Nor is any value a client read: each was served before the freeze.
+  for (const auto& [key, val] : seen) {
+    std::string full = ns_name + '\x1f' + key;
+    auto r = fx.store->get_on(nullptr, home, full, buf.data(), buf.size());
+    ASSERT_TRUE(r.is_ok()) << "value a client read was lost: " << key << " — "
+                           << r.status().to_string();
+    EXPECT_EQ(std::string(buf.data(), r.value()), val) << "read value differs: " << key;
+  }
 
   // Reconnect-to-verified-state: a fresh server over the recovered store
   // serves the oracle to a fresh client.
@@ -998,6 +1231,48 @@ TEST(NetCrashRig, KillMidCheckpointLosesNoAckedWrite) {
   auto got = c2.value()->get(ns2.value().ns_id, first_key);
   ASSERT_TRUE(got.is_ok());
   EXPECT_EQ(got.value(), first_val);
+}
+
+// The output gate, pinned down. With several loops, a GET on one loop can
+// read a value another loop's PUT wrote after the durable image froze, and
+// the GET's loop cannot tell; so once the image froze, no response leaves
+// any loop. A slowed-down device keeps the reader's loop in the middle of
+// one pipelined batch of GETs when the crash trips: none of the batch may
+// be sent, not even the GETs that read before the freeze.
+TEST(NetCrashRig, NothingIsSentAfterTheFreeze) {
+  fault::FaultInjector inj;
+  ServerFixture fx(&inj, pmem::Pool::Mode::kCrashSim);
+  RawConn reader(fx.server->port());
+  uint32_t ns = reader.open_ns(fx.ns_name_on_shard(fx.cfg.fault_shard));
+  std::string out;
+  append_frame(&out, Op::kPut, 2, 0, put_body(ns, "k", "v", 1));
+  ASSERT_TRUE(reader.send_all(out));
+  Frame f;
+  ASSERT_TRUE(reader.read_frame(&f));
+  ASSERT_EQ(f.hdr.status, 0u);
+
+  // Every device read spins 2 ms until the crash (faults stop firing then).
+  fault::FaultPlan plan;
+  plan.add({"ssd.read", 1, fault::FaultType::kDelay, 2'000'000, -1});
+  inj.set_plan(plan);
+  inj.arm();
+  constexpr int kGets = 50;
+  out.clear();
+  for (int i = 0; i < kGets; i++)
+    append_frame(&out, Op::kGet, 10 + (uint64_t)i, 0, key_body(ns, "k"));
+  ASSERT_TRUE(reader.send_all(out));
+  // Trip the crash while the first GET spins in its device read.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (inj.hit_count("ssd.read") == 0 && std::chrono::steady_clock::now() < deadline) {
+  }
+  ASSERT_GT(inj.hit_count("ssd.read"), 0u) << "GETs never reached the device";
+  inj.trigger_crash();
+
+  int sent = 0;
+  while (reader.read_frame(&f)) sent++;
+  EXPECT_EQ(sent, 0) << "responses left the server after the freeze";
+  EXPECT_TRUE(reader.eof) << "the crash did not close the connection";
+  EXPECT_TRUE(fx.server->crashed());
 }
 
 #endif  // !DSTORE_FAULT_INJECTION_DISABLED

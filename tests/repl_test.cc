@@ -6,6 +6,9 @@
 // failover after killing the primary, partition-during-promotion, and
 // double failover. A final smoke drives a 3-node fleet over real TCP —
 // net::Server dispatch + TcpPeer — and fails the primary under the client.
+#include <sched.h>
+
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -558,7 +561,7 @@ struct TcpNode {
     ncfg.initial_primary = primary ? 0 : 1;
     node = std::make_unique<Node>(ncfg);
     ShardedConfig scfg;
-    scfg.num_shards = 1;
+    scfg.num_shards = 2;  // two shards: two server loops on a 2+ CPU host
     scfg.shard.max_objects = 64;
     scfg.shard.num_blocks = 512;
     scfg.shard.engine.log_slots = 64;
@@ -570,6 +573,11 @@ struct TcpNode {
     auto s = net::Server::start(store.get(), net::ServerConfig{}, nullptr, node.get());
     EXPECT_TRUE(s.is_ok()) << s.status().to_string();
     server = std::move(s).value();
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    EXPECT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+    EXPECT_EQ(server->metrics().value("net_loops"),
+              (double)std::min(scfg.num_shards, CPU_COUNT(&set)));
   }
 };
 

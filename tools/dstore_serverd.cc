@@ -1,7 +1,8 @@
 // dstore_serverd — the DStore network daemon (DESIGN.md §15, §16).
 //
 // Hosts a ShardedStore fleet behind the DSTP wire protocol: one epoll
-// event loop, per-connection state machines, pipelined out-of-order
+// event loop per shard (at most one per CPU in the daemon's affinity
+// mask), per-connection state machines, pipelined out-of-order
 // completion, per-tenant namespaces mapped onto shards. Clients are the
 // C++ library (net::Client), the v3 C API (ds_session_open("host:port")),
 // ycsb_runner --backend=remote, and bench/net_loadgen.
