@@ -756,7 +756,8 @@ Status DStore::write_data_range(View& v, uint64_t meta_idx, const void* data, si
 }
 
 Status DStore::read_data_range(View& v, uint64_t meta_idx, void* buf, size_t size,
-                               uint64_t offset, size_t* out_len, obs::OpTrace* trace) {
+                               uint64_t offset, size_t* out_len, obs::OpTrace* trace,
+                               uint64_t* deadline_ns) {
   DSTORE_RETURN_IF_ERROR(verify_meta(v, meta_idx));
   const MetaEntry* e = v.zone.entry(meta_idx);
   if (e == nullptr || !e->in_use) return Status::corruption("read from free entry");
@@ -772,6 +773,14 @@ Status DStore::read_data_range(View& v, uint64_t meta_idx, void* buf, size_t siz
   const uint64_t* bl = v.zone.blocks(*e);
   ssd::IoQueue q(device_, cfg_.ssd_qd);
   DSTORE_RETURN_IF_ERROR(submit_io_range(q, bl, e->nblocks, nullptr, buf, want, offset, trace));
+  if (deadline_ns != nullptr && !q.any_failed()) {
+    // Errors land at submission, so a clean queue drains clean: the bytes
+    // are final and the outstanding deadlines are pure latency.
+    if (trace != nullptr) trace->add_io(q.size(), 0);
+    *deadline_ns = q.last_deadline();
+    *out_len = want;
+    return Status::ok();
+  }
   Status s = finish_io(q, /*is_write=*/false, trace);
   if (s.code() == Code::kCorruption) {
     // The device flagged a bad page under this read: run the containment
@@ -1184,7 +1193,8 @@ Status DStore::oput(ds_ctx_t* ctx, std::string_view name, const void* value, siz
 }
 
 Result<size_t> DStore::oget(ds_ctx_t* /*ctx*/, std::string_view name, void* buf,
-                            size_t buf_cap) {
+                            size_t buf_cap, uint64_t* deadline_ns) {
+  if (deadline_ns != nullptr) *deadline_ns = 0;
   if (!Key::fits(name)) return Status::invalid_argument("name too long");
   Key k = Key::from(name);
   obs::OpTrace trace(get_metrics_, pool_);
@@ -1199,8 +1209,8 @@ Result<size_t> DStore::oget(ds_ctx_t* /*ctx*/, std::string_view name, void* buf,
   const MetaEntry* e = v.zone.entry(*found);
   size_t value_size = e->size;
   size_t out_len = 0;
-  DSTORE_RETURN_IF_ERROR(
-      read_data_range(v, *found, buf, std::min(buf_cap, value_size), 0, &out_len, &trace));
+  DSTORE_RETURN_IF_ERROR(read_data_range(v, *found, buf, std::min(buf_cap, value_size), 0,
+                                         &out_len, &trace, deadline_ns));
   // Content tier: a misdirected write leaves the intended pages stale but
   // internally consistent — only the whole-object checksum can tell. Runs
   // whenever the caller's buffer covered the entire object.
@@ -1215,6 +1225,7 @@ Result<size_t> DStore::oget(ds_ctx_t* /*ctx*/, std::string_view name, void* buf,
     }
     DSTORE_RETURN_IF_ERROR(s);
   }
+  if (deadline_ns != nullptr) trace.complete_at(*deadline_ns);
   trace.succeed();
   return value_size;
 }
@@ -1256,7 +1267,7 @@ Result<DStore::ReadView> DStore::oget_zc(ds_ctx_t* /*ctx*/, std::string_view nam
   view.size_ = e->size;
   if (e->size == 0) {
     trace.succeed();
-    return std::move(view);
+    return view;
   }
   const uint64_t* bl = v.zone.blocks(*e);
   const size_t bs = block_size();
@@ -1295,7 +1306,7 @@ Result<DStore::ReadView> DStore::oget_zc(ds_ctx_t* /*ctx*/, std::string_view nam
     DSTORE_RETURN_IF_ERROR(cs);
   }
   trace.succeed();
-  return std::move(view);
+  return view;
 }
 
 Status DStore::odelete(ds_ctx_t* ctx, std::string_view name) {

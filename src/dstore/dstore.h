@@ -196,7 +196,18 @@ class DStore final : public dipper::SpaceClient {
   Status oput(ds_ctx_t* ctx, std::string_view name, const void* value, size_t size);
   // Fetch the value; copies min(buf_cap, value_size) bytes and returns the
   // full value size.
-  Result<size_t> oget(ds_ctx_t* ctx, std::string_view name, void* buf, size_t buf_cap);
+  //
+  // Deferred completion (`deadline_ns` non-null): the bytes in `buf` are
+  // final on return — media effect, sidecar verify and content CRC all run
+  // at submission, under the object's read exclusion — but the emulated
+  // device read may still be in flight. *deadline_ns is then the absolute
+  // now_ns() instant it completes, and the caller must not release the
+  // bytes before it (the server holds the response; DESIGN.md §15.2). A
+  // read whose submission reported a failure takes the synchronous retry
+  // and containment path and sets *deadline_ns = 0, as does any read that
+  // completed here.
+  Result<size_t> oget(ds_ctx_t* ctx, std::string_view name, void* buf, size_t buf_cap,
+                      uint64_t* deadline_ns = nullptr);
 
  private:
   class ReaderGuard;  // per-object read exclusion (defined in dstore.cc)
@@ -421,8 +432,11 @@ class DStore final : public dipper::SpaceClient {
                     obs::OpTrace* trace = nullptr);
   Status write_data_range(View& v, uint64_t meta_idx, const void* data, size_t size,
                           uint64_t offset, obs::OpTrace* trace = nullptr);
+  // With `deadline_ns`, a read whose submission saw no failure skips
+  // finish_io and returns its queue's last deadline (see oget).
   Status read_data_range(View& v, uint64_t meta_idx, void* buf, size_t size, uint64_t offset,
-                         size_t* out_len, obs::OpTrace* trace = nullptr);
+                         size_t* out_len, obs::OpTrace* trace = nullptr,
+                         uint64_t* deadline_ns = nullptr);
 
   // -- integrity containment ladder (DESIGN.md §11) --------------------------
   // Caller holds the object's read/write exclusion (ReaderGuard or an

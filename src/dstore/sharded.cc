@@ -219,10 +219,10 @@ Status ShardedStore::put_on(Session* s, int shard, std::string_view name, const 
 }
 
 Result<size_t> ShardedStore::get_on(Session* s, int shard, std::string_view name, void* buf,
-                                    size_t cap) {
+                                    size_t cap, uint64_t* deadline_ns) {
   if (shard < 0 || shard >= cfg_.num_shards) return Status::invalid_argument("shard out of range");
   Shard& sh = shards_[shard];
-  return sh.store->oget(s != nullptr ? s->ctx_[shard] : sh.ctx, name, buf, cap);
+  return sh.store->oget(s != nullptr ? s->ctx_[shard] : sh.ctx, name, buf, cap, deadline_ns);
 }
 
 Status ShardedStore::del_on(Session* s, int shard, std::string_view name) {
@@ -235,11 +235,6 @@ Result<DStore::ReadView> ShardedStore::get_zc_on(Session* s, int shard, std::str
   if (shard < 0 || shard >= cfg_.num_shards) return Status::invalid_argument("shard out of range");
   Shard& sh = shards_[shard];
   return sh.store->oget_zc(s != nullptr ? s->ctx_[shard] : sh.ctx, name);
-}
-
-Result<uint64_t> ShardedStore::object_size_on(int shard, std::string_view name) {
-  if (shard < 0 || shard >= cfg_.num_shards) return Status::invalid_argument("shard out of range");
-  return shards_[shard].store->object_size(name);
 }
 
 Status ShardedStore::scrub_all(DStore::ScrubReport* report) {

@@ -119,12 +119,13 @@ class ShardedStore {
   // null session routes through the shared per-shard context. `shard` must
   // be in [0, num_shards).
   Status put_on(Session* s, int shard, std::string_view name, const void* value, size_t size);
-  Result<size_t> get_on(Session* s, int shard, std::string_view name, void* buf, size_t cap);
+  // `deadline_ns` asks for a deferred device completion (DStore::oget).
+  Result<size_t> get_on(Session* s, int shard, std::string_view name, void* buf, size_t cap,
+                        uint64_t* deadline_ns = nullptr);
   Status del_on(Session* s, int shard, std::string_view name);
   // Zero-copy read on an explicit shard (Status::unsupported on devices
   // without a direct mapping — callers fall back to get_on).
   Result<DStore::ReadView> get_zc_on(Session* s, int shard, std::string_view name);
-  Result<uint64_t> object_size_on(int shard, std::string_view name);
 
   // One integrity pass over every shard, merging the per-shard reports
   // (counter sums; corrupt-object names concatenated). Every shard is
@@ -160,6 +161,9 @@ class ShardedStore {
   std::string metrics_prometheus() const;
 
   int num_shards() const { return cfg_.num_shards; }
+  // Every shard's device block size and NVMe queue depth (cfg.shard).
+  size_t block_size() const { return shards_[0].device->config().block_size(); }
+  uint32_t ssd_qd() const { return cfg_.shard.ssd_qd; }
   DStore& shard(int i) { return *shards_[i].store; }
   CheckpointPool& pool() { return *pool_; }
   // Which shard owns `name` (exposed for tests and balance inspection).

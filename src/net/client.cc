@@ -94,6 +94,7 @@ Status Client::ensure_connected() {
   Status last = dead_.is_ok() ? Status::io_error("not connected") : dead_;
   for (uint32_t attempt = 0; attempt < cfg_.max_reconnect_attempts; attempt++) {
     if (attempt > 0) {
+      // lint: allow-loop-wait — reconnect backoff on the client's thread.
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
       backoff = std::min(backoff * 2, cfg_.reconnect_backoff_max_ms);
     }

@@ -15,9 +15,12 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <functional>
+#include <queue>
 #include <unordered_map>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/lockdep.h"
 
 namespace dstore::net {
@@ -94,6 +97,15 @@ struct Server::Impl {
     bool closing = false;  // protocol error: flush the error frame, then close
     ShardedStore::Session* session = nullptr;
     int64_t last_active_ms = 0;  // idle-reaper clock (any inbound bytes)
+    // Deferred GET responses: out[off..] may not leave before `deadline`
+    // (now_ns()), the device completion of the read behind it. Offsets
+    // ascend in response order; deadlines need not.
+    struct Hold {
+      size_t off;
+      uint64_t deadline;
+    };
+    std::deque<Hold> holds;
+    bool held_listed = false;  // in loop->held_conns
   };
 
   // ---- namespace registry (shared by every loop) ---------------------------
@@ -160,10 +172,20 @@ struct Server::Impl {
     std::deque<SlowDone> done;
     uint32_t pending = 0;
 
+    // The loop's NVMe queue pair: completion deadlines of its deferred
+    // reads still in flight (earliest on top), at most store->ssd_qd().
+    std::priority_queue<uint64_t, std::vector<uint64_t>, std::greater<>> reads_in_flight;
+    // Connections with held output; a poll pass releases what is due.
+    std::vector<uint64_t> held_conns;
+
     std::thread thread;  // runs run_loop(this); joined by stop()
   };
   std::vector<std::unique_ptr<Loop>> loops;
   size_t next_loop = 0;  // round-robin cursor (loop 0's thread only)
+
+  // drain_stop() waits here for every loop's `drained` (or a crash stop).
+  Mutex drain_mu{"net.server.drain"};
+  CondVar drain_cv;
 
   // ---- metrics -------------------------------------------------------------
   obs::MetricsRegistry metrics;
@@ -176,6 +198,7 @@ struct Server::Impl {
   obs::Counter* m_slow_ops = nullptr;
   obs::Counter* m_heartbeats = nullptr;
   obs::Counter* m_idle_reaped = nullptr;
+  obs::Counter* m_reads_deferred = nullptr;
 
   ~Impl() { teardown_fds(); }
 
@@ -256,6 +279,9 @@ struct Server::Impl {
                                    "HEARTBEAT frames answered");
     m_idle_reaped = metrics.counter("net_idle_reaped_total",
                                     "connections dropped by the idle reaper");
+    m_reads_deferred = metrics.counter("net_reads_deferred_total",
+                                       "GET responses held until their device read's "
+                                       "completion deadline");
     return Status::ok();
   }
 
@@ -280,6 +306,15 @@ struct Server::Impl {
     crashed.store(true, std::memory_order_release);
     stopping.store(true, std::memory_order_release);
     wake_all();
+    notify_drain();
+  }
+
+  // After a drain-relevant store (`drained`, `stopping`): passing through
+  // drain_mu orders it against drain_stop()'s predicate check, so the
+  // wakeup cannot be lost.
+  void notify_drain() {
+    { UniqueLock l(drain_mu); }
+    drain_cv.notify_all();
   }
 
   // ---- per-connection plumbing (owning loop's thread) ----------------------
@@ -313,8 +348,17 @@ struct Server::Impl {
     m_conns->add(-1);
   }
 
-  void update_write_interest(Conn* c) {
-    bool want = c->out_off < c->out.size();
+  // End of the bytes that may leave now: everything before the first hold
+  // still short of its deadline. Releases the holds that came due.
+  size_t sendable_end(Conn* c) {
+    if (c->holds.empty()) return c->out.size();
+    uint64_t now = now_ns();
+    while (!c->holds.empty() && c->holds.front().deadline <= now) c->holds.pop_front();
+    return c->holds.empty() ? c->out.size() : c->holds.front().off;
+  }
+
+  void update_write_interest(Conn* c, size_t end) {
+    bool want = c->out_off < end;
     if (want == c->want_write) return;
     c->want_write = want;
     epoll_event ev{};
@@ -327,13 +371,16 @@ struct Server::Impl {
   // tripped. Output is gated here, not only after mutating ops: with
   // several loops, a GET on one loop can read a value another loop's PUT
   // wrote after the durable image froze, and that value must not leave.
+  // Held bytes stay put: a response never leaves before its hold's
+  // deadline, and nothing behind it overtakes it.
   bool flush_conn(Conn* c) {
-    if (c->out_off < c->out.size() && crash_tripped()) {
+    size_t end = sendable_end(c);
+    if (c->out_off < end && crash_tripped()) {
       begin_crash_shutdown();
       return false;
     }
-    while (c->out_off < c->out.size()) {
-      ssize_t n = ::write(c->fd, c->out.data() + c->out_off, c->out.size() - c->out_off);
+    while (c->out_off < end) {
+      ssize_t n = ::write(c->fd, c->out.data() + c->out_off, end - c->out_off);
       if (n > 0) {
         c->out_off += (size_t)n;
         m_bytes_out->add((uint64_t)n);
@@ -352,7 +399,7 @@ struct Server::Impl {
         return false;
       }
     }
-    update_write_interest(c);
+    update_write_interest(c, end);
     return true;
   }
 
@@ -503,24 +550,26 @@ struct Server::Impl {
         return;
       }
     }
-    // Size-then-read; oget reports the full value size, so a concurrent
-    // resize between the two calls just re-sizes the buffer and retries.
-    auto size = store->object_size_on(e->shard, full);
-    if (!size.is_ok()) {
-      respond_status(c, op, f.hdr.req_id, size.status());
-      return;
-    }
+    // One read into a block-sized buffer; oget reports the full value
+    // size, so a larger value re-sizes the buffer and reads again. The read
+    // completes at submission with its device time still outstanding: the
+    // response is held until that deadline instead of spinning it out here.
     std::string body;
-    for (uint64_t want = size.value();;) {
-      if (want > cfg.max_frame_bytes) {
-        respond_status(c, op, f.hdr.req_id,
-                       Status::invalid_argument("value exceeds frame limit"));
-        return;
-      }
+    uint64_t deadline = 0;
+    for (size_t want = store->block_size();;) {
       body.resize(want);
-      auto got = store->get_on(session, e->shard, full, body.data(), body.size());
+      await_read_slot(c->loop);
+      uint64_t d = 0;
+      auto got = store->get_on(session, e->shard, full, body.data(), body.size(), &d);
+      if (d != 0) c->loop->reads_in_flight.push(d);
+      deadline = std::max(deadline, d);
       if (!got.is_ok()) {
         respond_status(c, op, f.hdr.req_id, got.status());
+        return;
+      }
+      if (got.value() > cfg.max_frame_bytes) {
+        respond_status(c, op, f.hdr.req_id,
+                       Status::invalid_argument("value exceeds frame limit"));
         return;
       }
       if (got.value() <= body.size()) {
@@ -529,7 +578,47 @@ struct Server::Impl {
       }
       want = got.value();
     }
+    size_t off = c->out.size();
     respond(c, op, f.hdr.req_id, 0, body);
+    if (deadline > now_ns()) hold(c, off, deadline);
+  }
+
+  // Each loop is one NVMe queue pair: at most ssd_qd deferred reads in
+  // flight. At the bound, the earliest is waited out, as a full hardware
+  // submission queue would make the host do.
+  void await_read_slot(Loop* L) {
+    auto& q = L->reads_in_flight;
+    uint64_t now = now_ns();
+    while (!q.empty() && q.top() <= now) q.pop();
+    if (q.size() < std::max<uint32_t>(1, store->ssd_qd())) return;
+    spin_for_ns(q.top() - now);  // lint: allow-loop-wait — the queue pair is full
+    q.pop();
+  }
+
+  void hold(Conn* c, size_t off, uint64_t deadline) {
+    c->holds.push_back({off, deadline});
+    m_reads_deferred->inc();
+    if (!c->held_listed) {
+      c->held_listed = true;
+      c->loop->held_conns.push_back(c->id);
+    }
+  }
+
+  // One poll pass: write out every held response whose deadline passed.
+  void release_holds(Loop* L) {
+    std::vector<uint64_t> ids;
+    ids.swap(L->held_conns);
+    for (uint64_t id : ids) {
+      auto it = L->conns_by_id.find(id);
+      if (it == L->conns_by_id.end()) continue;  // dropped meanwhile
+      Conn* c = it->second;
+      if (!flush_conn(c)) continue;
+      if (c->holds.empty()) {
+        c->held_listed = false;
+      } else {
+        L->held_conns.push_back(id);
+      }
+    }
   }
 
   void handle_metrics(Conn* c, const Frame& f) {
@@ -795,7 +884,9 @@ struct Server::Impl {
     epoll_event events[256];
     bool accepting = L == loops[0].get();
     while (!stopping.load(std::memory_order_acquire)) {
-      int n = epoll_wait(L->epoll_fd, events, 256, 100);
+      // Held output makes the loop poll rather than block: its deadlines
+      // are microseconds away, far below epoll's millisecond timeout.
+      int n = epoll_wait(L->epoll_fd, events, 256, L->held_conns.empty() ? 100 : 0);
       if (n < 0) {
         if (errno == EINTR) continue;
         break;
@@ -815,6 +906,7 @@ struct Server::Impl {
         }
         if (drain_complete(L)) {
           L->drained.store(true, std::memory_order_release);
+          notify_drain();
           break;
         }
       }
@@ -844,6 +936,7 @@ struct Server::Impl {
         }
         if (events[i].events & EPOLLIN) on_readable(c);
       }
+      if (!L->held_conns.empty() && !stopping.load(std::memory_order_acquire)) release_holds(L);
     }
     // Close every connection before the loop thread exits — on a crash
     // shutdown nothing will serve these fds again, and a client blocked on
@@ -940,15 +1033,14 @@ void Server::drain_stop(uint32_t timeout_ms) {
   if (im.stopped) return;
   im.draining.store(true, std::memory_order_release);
   im.wake_all();
-  int64_t deadline = now_ms() + (int64_t)timeout_ms;
-  auto all_drained = [&im] {
-    for (auto& L : im.loops)
-      if (!L->drained.load(std::memory_order_acquire)) return false;
-    return true;
-  };
-  while (!all_drained() && !im.stopping.load(std::memory_order_acquire) &&
-         now_ms() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  {
+    UniqueLock l(im.drain_mu);
+    im.drain_cv.wait_for(l, std::chrono::milliseconds(timeout_ms), [&im] {
+      if (im.stopping.load(std::memory_order_acquire)) return true;
+      for (auto& L : im.loops)
+        if (!L->drained.load(std::memory_order_acquire)) return false;
+      return true;
+    });
   }
   stop();
 }

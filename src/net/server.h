@@ -11,6 +11,16 @@
 // replicated-write quorum waits go to one of two workers, whose
 // completions return to the owning loop's queue through its eventfd.
 //
+// Deferred GET completion: each loop is one NVMe queue pair. A GET's
+// device read is submitted and its value copied at once, but the loop does
+// not wait the read's latency out: the response is appended and HELD until
+// the read's completion deadline (DStore::oget's deferred mode). A
+// connection's bytes leave in order up to its first unexpired hold, so no
+// response leaves early and none overtakes a held one. A loop with held
+// output polls (epoll timeout 0) and releases due holds every pass; it
+// keeps at most the shard config's ssd_qd reads in flight and, at that
+// bound, waits out the earliest — the one device wait on a loop thread.
+//
 // Tenancy: each namespace lives wholly on ONE ShardedStore shard — its
 // home is shard_of(ns_name), recomputable after any restart, so the
 // mapping needs no persistence. Tenant objects are stored under
@@ -22,11 +32,12 @@
 //
 // Crash discipline: when a FaultInjector is wired, a loop re-checks
 // injector->crashed() after executing every mutating op and BEFORE
-// queueing the ack, before writing any response bytes, and once per poll
-// cycle. The first loop to see the durable image frozen stops every loop:
-// nothing further is acknowledged and no value read after the freeze is
-// returned — so "acked" (or "seen") always implies "committed before the
-// crash", the invariant the server crash rig verifies (tests/net_test.cc).
+// queueing the ack, before writing any response bytes (held ones
+// included), and once per poll cycle. The first loop to see the durable
+// image frozen stops every loop: nothing further is acknowledged and no
+// value read after the freeze is returned — so "acked" (or "seen") always
+// implies "committed before the crash", the invariant the server crash rig
+// verifies (tests/net_test.cc).
 #pragma once
 
 #include <cstdint>
@@ -76,8 +87,9 @@ class Server {
   void stop();
 
   // Graceful shutdown: stop accepting, finish dispatching what's already
-  // buffered, flush every response (including queued slow-op completions)
-  // on every loop, then stop. Falls back to a hard stop() at the deadline.
+  // buffered, flush every response (including queued slow-op completions
+  // and held GET responses) on every loop, then stop. Falls back to a hard
+  // stop() at the deadline.
   void drain_stop(uint32_t timeout_ms = 1000);
 
   uint16_t port() const;

@@ -28,6 +28,7 @@
 // and every call inlines to nothing.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/clock.h"
@@ -143,6 +144,11 @@ class OpTrace {
   // Mark the op successful; an un-succeeded trace publishes as a failure.
   void succeed() { ok_ = true; }
 
+  // The op's device completion is due at `deadline_ns` (absolute now_ns())
+  // although the op returns earlier — a deferred read. Its latency is
+  // recorded up to max(now, deadline), so device time stays in this layer.
+  void complete_at(uint64_t deadline_ns) { end_floor_ns_ = deadline_ns; }
+
   void finish() {
     if (done_) return;
     done_ = true;
@@ -157,7 +163,8 @@ class OpTrace {
     }
     if (sampled_) {
       leave();
-      if (m_->latency != nullptr) m_->latency->record(now_ns() - start_ns_);
+      if (m_->latency != nullptr)
+        m_->latency->record(std::max(now_ns(), end_floor_ns_) - start_ns_);
       for (int s = 0; s < kStageCount; s++) {
         if (stage_ns_[s] != 0 && m_->stage[s] != nullptr) m_->stage[s]->record(stage_ns_[s]);
       }
@@ -190,6 +197,7 @@ class OpTrace {
   uint64_t batches_ = 0;
   uint64_t ios_issued_ = 0;
   uint64_t coalesced_ = 0;
+  uint64_t end_floor_ns_ = 0;  // complete_at()
   // Sampled-only state: initialized in the constructor iff sampled_, and
   // only ever read behind a sampled_ check.
   uint64_t start_ns_;
@@ -214,6 +222,7 @@ class OpTrace {
     (void)coalesced;
   }
   void succeed() {}
+  void complete_at(uint64_t deadline_ns) { (void)deadline_ns; }
   void finish() {}
   bool sampled() const { return false; }
 #endif

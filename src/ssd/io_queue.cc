@@ -72,6 +72,14 @@ Status IoQueue::resubmit(size_t id) {
   return sub.status;
 }
 
+uint64_t IoQueue::last_deadline() const {
+  uint64_t last = 0;
+  for (const Sub& s : subs_) {
+    if (!s.done) last = std::max(last, s.deadline);
+  }
+  return last;
+}
+
 bool IoQueue::all_ok() const {
   for (const Sub& s : subs_) {
     if (!s.done || !s.status.is_ok()) return false;

@@ -85,11 +85,16 @@ class IoQueue {
   // True once every submission has been reaped with an ok status.
   bool all_ok() const;
 
+  // The latest completion deadline (absolute now_ns()) of the submissions
+  // not yet reaped; 0 when none is outstanding.
+  uint64_t last_deadline() const;
+
   // True when any completed submission carries a failure. In this emulation
   // errors land at submission time (the media effect is immediate); a queue
   // with no failure observed here is guaranteed to drain clean — the
   // outstanding deadlines are pure latency. This is what lets an early-ack
-  // caller commit before wait_all() and park the queue.
+  // caller commit before wait_all() and park the queue, and a deferred read
+  // hand its bytes up before last_deadline().
   bool any_failed() const {
     for (const auto& s : subs_) {
       if (s.done && !s.status.is_ok()) return true;

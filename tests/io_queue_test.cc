@@ -16,6 +16,7 @@
 #include "dstore/dstore.h"
 #include "fault/crash_rig.h"
 #include "fault/fault.h"
+#include "obs/op_trace.h"
 #include "pmem/pool.h"
 #include "ssd/block_device.h"
 #include "ssd/io_queue.h"
@@ -161,7 +162,8 @@ struct StoreFixture {
   ds_ctx_t* ctx = nullptr;
 
   void build(uint32_t ssd_qd, bool plp = true,
-             pmem::Pool::Mode mode = pmem::Pool::Mode::kDirect) {
+             pmem::Pool::Mode mode = pmem::Pool::Mode::kDirect,
+             LatencyModel lat = LatencyModel::none()) {
     cfg.max_objects = 32;
     cfg.num_blocks = 256;
     cfg.ssd_qd = ssd_qd;
@@ -170,8 +172,7 @@ struct StoreFixture {
     cfg.engine.background_checkpointing = false;
     cfg.io_retry_backoff_ns = 1000;
     pool = std::make_unique<pmem::Pool>(dipper::Engine::required_pool_bytes(cfg.engine), mode);
-    device = std::make_unique<ssd::RamBlockDevice>(dev_cfg(cfg.num_blocks,
-                                                           LatencyModel::none(), plp));
+    device = std::make_unique<ssd::RamBlockDevice>(dev_cfg(cfg.num_blocks, lat, plp));
     auto s = DStore::create(pool.get(), device.get(), cfg);
     ASSERT_TRUE(s.is_ok()) << s.status().to_string();
     store = std::move(s).value();
@@ -235,7 +236,75 @@ TEST(DStoreAsyncIo, MdtsCapSplitsLongRuns) {
   EXPECT_EQ(f.get("five"), v);
 }
 
+// A read slow enough that returning before its completion is unmistakable.
+LatencyModel slow_reads() {
+  LatencyModel lat;
+  lat.ssd_read_base_ns = 2'000'000;
+  return lat;
+}
+
+// Deferred completion (oget's deadline out-param): the bytes are final at
+// submission, the call returns before the device completes, and the
+// returned deadline covers the device's base read latency. The store's get
+// histogram still counts that device time; a caller that passes no
+// out-param waits it out as before.
+TEST(DStoreAsyncIo, DeferredReadReturnsBeforeItsDeadline) {
+  const LatencyModel lat = slow_reads();
+  StoreFixture f;
+  f.build(/*ssd_qd=*/16, true, pmem::Pool::Mode::kDirect, lat);
+  std::string v = patterned(3000, 'g');
+  ASSERT_TRUE(f.store->oput(f.ctx, "k", v.data(), v.size()).is_ok());
+  std::vector<char> buf(4096);
+  // One sampled trace in every obs::OpTrace::kSampleEvery ops.
+  for (uint32_t i = 0; i < obs::OpTrace::kSampleEvery; i++) {
+    uint64_t deadline = 0;
+    uint64_t t0 = now_ns();
+    auto r = f.store->oget(f.ctx, "k", buf.data(), buf.size(), &deadline);
+    uint64_t t1 = now_ns();
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    EXPECT_EQ(std::string(buf.data(), r.value()), v);
+    EXPECT_GE(deadline, t0 + lat.ssd_read_base_ns);
+    EXPECT_LT(t1, deadline) << "the deferred read waited out its device time";
+  }
+#if !defined(DSTORE_METRICS_DISABLED)
+  obs::Histogram* h = f.store->metrics().find_histogram("dstore_get_latency_ns");
+  ASSERT_NE(h, nullptr);
+  ASSERT_GE(h->count(), 1u);
+  EXPECT_GE(h->mean(), (double)lat.ssd_read_base_ns) << "device time left the store's histogram";
+#endif
+
+  uint64_t t0 = now_ns();
+  EXPECT_EQ(f.get("k"), v);
+  EXPECT_GE(now_ns() - t0, lat.ssd_read_base_ns) << "a plain oget must complete its read";
+}
+
 #if !defined(DSTORE_FAULT_INJECTION_DISABLED)
+
+// A deferred read whose submission fails falls back to the synchronous
+// per-descriptor retry: correct bytes, no deadline left outstanding.
+TEST(DStoreAsyncIo, DeferredReadFallsBackToSyncRetryOnFailure) {
+  const LatencyModel lat = slow_reads();
+  StoreFixture f;
+  f.build(/*ssd_qd=*/16, true, pmem::Pool::Mode::kDirect, lat);
+  f.attach_faults();
+  std::string v = patterned(3000, 'h');
+  ASSERT_TRUE(f.store->oput(f.ctx, "k", v.data(), v.size()).is_ok());
+  FaultPlan plan;
+  plan.add({"ssd.read", 1, FaultType::kError, 0, 1});
+  f.inj.set_plan(plan);
+  std::vector<char> buf(4096);
+  uint64_t deadline = 1;
+  f.inj.arm();
+  uint64_t t0 = now_ns();
+  auto r = f.store->oget(f.ctx, "k", buf.data(), buf.size(), &deadline);
+  uint64_t t1 = now_ns();
+  f.inj.disarm();
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(std::string(buf.data(), r.value()), v);
+  EXPECT_EQ(deadline, 0u);
+  EXPECT_GE(t1 - t0, lat.ssd_read_base_ns) << "the retry is synchronous";
+  EXPECT_EQ(f.store->metrics().counter_value("ssd_io_retries_total"), 1u);
+}
 
 TEST(DStoreAsyncIo, TransientEioOnOneDescriptorRetriesOnlyThatDescriptor) {
   StoreFixture f;

@@ -1,7 +1,8 @@
 // Unit tests for the linter's text-analysis core (tools/lint_rules.h),
 // centered on the raw-persist rule: hot-path files must route per-op PMEM
 // ordering through pmem::PersistBatch; raw persist/flush/fence member calls
-// need a `lint: allow-raw-persist` annotation. Tests feed inline source
+// need a `lint: allow-raw-persist` annotation. The status-code and
+// loop-wait rules are covered the same way. Tests feed inline source
 // strings so both directions (fires / stays quiet) are covered — the driver
 // binary only ever lints whole translation units.
 #include <gtest/gtest.h>
@@ -162,6 +163,49 @@ TEST(LintStatusCode, TableItselfAndAnnotationsAreExempt) {
       "#define DS_EFAKE -99\n"
       "case Code::kBusy: return DS_EBUSY;  // lint: allow-status-code why\n";
   EXPECT_TRUE(run_status_codes("src/dstore/other.cc", annotated_src).empty());
+}
+
+// ---- loop-wait ------------------------------------------------------------
+
+std::vector<Violation> run_loop_waits(const std::string& rel, const std::string& src) {
+  std::vector<Violation> out;
+  check_loop_waits(rel, src, strip_comments_and_strings(src), &out);
+  std::sort(out.begin(), out.end(),
+            [](const Violation& a, const Violation& b) { return a.line < b.line; });
+  return out;
+}
+
+TEST(LintLoopWait, FlagsDeviceWaitsInTheNetLayer) {
+  const std::string src =
+      "void f(ssd::IoQueue& q, ssd::IoQueue* p) {\n"
+      "  dstore::spin_for_ns(7000);\n"
+      "  q.wait_all();\n"
+      "  p->wait_all();\n"
+      "  std::this_thread::sleep_for(std::chrono::milliseconds(5));\n"
+      "  std::this_thread::sleep_until(t);\n"
+      "}\n";
+  auto v = run_loop_waits("src/net/server.cc", src);
+  ASSERT_EQ(v.size(), 5u);
+  EXPECT_EQ(v[0].check, "loop-wait");
+  EXPECT_EQ(v[0].line, 2u);
+  EXPECT_EQ(v[4].line, 6u);
+}
+
+TEST(LintLoopWait, AnnotatedWaitsDeclarationsAndOtherDirsPass) {
+  const std::string annotated_src =
+      "spin_for_ns(d - now);  // lint: allow-loop-wait the queue pair is full\n"
+      "// lint: allow-loop-wait client backoff, not a loop\n"
+      "std::this_thread::sleep_for(backoff);\n";
+  EXPECT_TRUE(run_loop_waits("src/net/server.cc", annotated_src).empty());
+  // Declaring or defining a client's wait_all is not a device wait, nor is
+  // a name that merely contains a flagged one.
+  const std::string decls =
+      "Status wait_all();\n"
+      "Status Client::wait_all() { return ok; }\n"
+      "my_spin_for_ns(1); sleep_for_a_while();\n";
+  EXPECT_TRUE(run_loop_waits("src/net/client.cc", decls).empty());
+  // The rule covers the net layer only; the store waits by design.
+  EXPECT_TRUE(run_loop_waits("src/ssd/io_queue.cc", "void f() { spin_for_ns(5); }\n").empty());
 }
 
 // ---- shared helper coverage ---------------------------------------------

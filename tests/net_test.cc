@@ -458,9 +458,12 @@ struct ServerFixture {
   std::unique_ptr<ShardedStore> store;
   std::unique_ptr<Server> server;
 
+  // `tweak` adjusts the store config (device latency, queue depth) before
+  // the fleet is built.
   explicit ServerFixture(fault::FaultInjector* inj = nullptr,
                          pmem::Pool::Mode mode = pmem::Pool::Mode::kDirect,
-                         ServerConfig srv_cfg = {}) {
+                         ServerConfig srv_cfg = {},
+                         const std::function<void(ShardedConfig&)>& tweak = nullptr) {
     cfg.num_shards = 2;
     cfg.pool_mode = mode;
     cfg.affinity = true;
@@ -473,6 +476,7 @@ struct ServerFixture {
     cfg.fault = inj;
     cfg.fault_shard = 0;
     if (inj != nullptr) inj->disarm();  // creation noise must not shift hits
+    if (tweak) tweak(cfg);
     auto r = ShardedStore::create(cfg);
     EXPECT_TRUE(r.is_ok()) << r.status().to_string();
     store = std::move(r).value();
@@ -1022,6 +1026,201 @@ TEST(NetMultiLoop, DrainStopFlushesEveryLoop) {
 }
 
 // ---------------------------------------------------------------------------
+// Deferred device reads: a GET's response is held to its read's deadline
+// ---------------------------------------------------------------------------
+
+using Clock = std::chrono::steady_clock;
+
+// A device whose every read takes `read_ns` of emulated latency; writes are
+// free, so preloading is fast.
+std::function<void(ShardedConfig&)> slow_reads(uint64_t read_ns, uint32_t ssd_qd = 16) {
+  return [read_ns, ssd_qd](ShardedConfig& c) {
+    c.latency.ssd_read_base_ns = read_ns;
+    c.shard.ssd_qd = ssd_qd;
+  };
+}
+
+// Store `n` keys k0.. through `raw` (acks read) on namespace `ns`.
+void preload(RawConn& raw, uint32_t ns, int n) {
+  std::string out;
+  for (int i = 0; i < n; i++) {
+    std::string k = "k" + std::to_string(i), v = "value-" + std::to_string(i);
+    append_frame(&out, Op::kPut, 100 + (uint64_t)i, 0, put_body(ns, k, v.data(), v.size()));
+  }
+  ASSERT_TRUE(raw.send_all(out));
+  Frame f;
+  for (int i = 0; i < n; i++) {
+    ASSERT_TRUE(raw.read_frame(&f));
+    ASSERT_EQ(f.hdr.status, 0u);
+  }
+}
+
+std::string pipelined_gets(uint32_t ns, int n) {
+  std::string out;
+  for (int i = 0; i < n; i++)
+    append_frame(&out, Op::kGet, 10 + (uint64_t)i, 0, key_body(ns, "k" + std::to_string(i)));
+  return out;
+}
+
+// Waits until the server has held `n` responses in total.
+bool await_deferred(Server& srv, double n) {
+  auto deadline = Clock::now() + std::chrono::seconds(10);
+  while (srv.metrics().value("net_reads_deferred_total") < n && Clock::now() < deadline) {
+  }
+  return srv.metrics().value("net_reads_deferred_total") >= n;
+}
+
+// Long enough that host scheduling noise cannot blur one read latency
+// into two; eight serial reads would take 160 ms.
+constexpr uint64_t kReadNs = 20'000'000;
+
+// Eight pipelined GETs overlap their device reads on the loop's queue
+// pair (all answered within 2 x the latency, where a loop that waited each
+// read out would need 8 x), and none is answered before its read is due.
+TEST(NetDeferredRead, PipelinedGetsOverlapAndAreHeldToTheDeadline) {
+  ServerFixture fx(nullptr, pmem::Pool::Mode::kDirect, {}, slow_reads(kReadNs));
+  RawConn raw(fx.server->port());
+  uint32_t ns = raw.open_ns("held");
+  constexpr int kGets = 8;
+  preload(raw, ns, kGets);
+  auto t0 = Clock::now();
+  ASSERT_TRUE(raw.send_all(pipelined_gets(ns, kGets)));
+  Frame f;
+  for (int i = 0; i < kGets; i++) {
+    ASSERT_TRUE(raw.read_frame(&f));
+    auto at = Clock::now() - t0;
+    EXPECT_EQ(f.hdr.req_id, 10u + (uint64_t)i) << "responses left out of order";
+    EXPECT_EQ(f.body, "value-" + std::to_string(i));
+    EXPECT_GE(at, std::chrono::nanoseconds(kReadNs)) << "GET " << i << " answered early";
+    EXPECT_LT(at, std::chrono::nanoseconds(2 * kReadNs)) << "GET " << i << " reads not overlapped";
+  }
+  EXPECT_EQ(fx.server->metrics().value("net_reads_deferred_total"), (double)kGets);
+}
+
+// The loop does not wait on held reads: a HEARTBEAT on a second connection
+// of the same loop is answered while eight reads are still in flight.
+TEST(NetDeferredRead, LoopServesOtherConnectionsWhileReadsAreHeld) {
+  constexpr uint64_t kSlowNs = 200'000'000;  // far beyond any scheduling hiccup
+  ServerFixture fx(nullptr, pmem::Pool::Mode::kDirect, {}, slow_reads(kSlowNs));
+  std::vector<std::unique_ptr<RawConn>> conns;
+  // Round-robin hand-off: connection 0 and connection loops() share loop 0.
+  for (int i = 0; i <= fx.loops(); i++)
+    conns.push_back(std::make_unique<RawConn>(fx.server->port()));
+  RawConn& reader = *conns.front();
+  RawConn& other = *conns.back();
+  uint32_t ns = reader.open_ns("held");
+  constexpr int kGets = 8;
+  preload(reader, ns, kGets);
+  auto t0 = Clock::now();
+  ASSERT_TRUE(reader.send_all(pipelined_gets(ns, kGets)));
+  ASSERT_TRUE(await_deferred(*fx.server, kGets));
+
+  std::string out;
+  append_frame(&out, Op::kHeartbeat, 77, 0, heartbeat_body({}));
+  ASSERT_TRUE(other.send_all(out));
+  Frame f;
+  ASSERT_TRUE(other.read_frame(&f));
+  EXPECT_EQ(f.hdr.req_id, 77u);
+  EXPECT_LT(Clock::now() - t0, std::chrono::nanoseconds(kSlowNs))
+      << "the heartbeat waited for the held reads";
+  for (int i = 0; i < kGets; i++) {
+    ASSERT_TRUE(reader.read_frame(&f));
+    EXPECT_EQ(f.body, "value-" + std::to_string(i));
+  }
+  EXPECT_GE(Clock::now() - t0, std::chrono::nanoseconds(kSlowNs));
+}
+
+// A loop is one NVMe queue pair of the shard's depth: with ssd_qd = 2,
+// eight GETs go to the device two at a time, four latencies end to end.
+TEST(NetDeferredRead, QueueDepthBoundsReadsInFlight) {
+  ServerFixture fx(nullptr, pmem::Pool::Mode::kDirect, {}, slow_reads(kReadNs, 2));
+  RawConn raw(fx.server->port());
+  uint32_t ns = raw.open_ns("held");
+  constexpr int kGets = 8;
+  preload(raw, ns, kGets);
+  auto t0 = Clock::now();
+  ASSERT_TRUE(raw.send_all(pipelined_gets(ns, kGets)));
+  Frame f;
+  for (int i = 0; i < kGets; i++) {
+    ASSERT_TRUE(raw.read_frame(&f));
+    EXPECT_EQ(f.body, "value-" + std::to_string(i));
+  }
+  EXPECT_GE(Clock::now() - t0, std::chrono::nanoseconds(4 * kReadNs));
+}
+
+// Per-connection order survives the hold: a PUT pipelined behind a held
+// GET is answered after it, though the PUT finished first.
+TEST(NetDeferredRead, PutBehindAHeldGetIsAnsweredAfterIt) {
+  ServerFixture fx(nullptr, pmem::Pool::Mode::kDirect, {}, slow_reads(kReadNs));
+  RawConn raw(fx.server->port());
+  uint32_t ns = raw.open_ns("held");
+  preload(raw, ns, 1);
+  std::string out;
+  append_frame(&out, Op::kGet, 5, 0, key_body(ns, "k0"));
+  append_frame(&out, Op::kPut, 6, 0, put_body(ns, "k1", "v", 1));
+  auto t0 = Clock::now();
+  ASSERT_TRUE(raw.send_all(out));
+  Frame f;
+  ASSERT_TRUE(raw.read_frame(&f));
+  EXPECT_EQ(f.hdr.req_id, 5u) << "the PUT overtook the held GET";
+  EXPECT_EQ(f.body, "value-0");
+  ASSERT_TRUE(raw.read_frame(&f));
+  EXPECT_EQ(f.hdr.req_id, 6u);
+  EXPECT_EQ(f.hdr.status, 0u);
+  EXPECT_GE(Clock::now() - t0, std::chrono::nanoseconds(kReadNs));
+}
+
+// drain_stop counts held bytes as pending output: it waits them out and
+// sends them before closing.
+TEST(NetDeferredRead, DrainStopSendsHeldResponses) {
+  constexpr uint64_t kSlowNs = 50'000'000;
+  ServerFixture fx(nullptr, pmem::Pool::Mode::kDirect, {}, slow_reads(kSlowNs));
+  RawConn raw(fx.server->port());
+  uint32_t ns = raw.open_ns("held");
+  constexpr int kGets = 4;
+  preload(raw, ns, kGets);
+  ASSERT_TRUE(raw.send_all(pipelined_gets(ns, kGets)));
+  ASSERT_TRUE(await_deferred(*fx.server, kGets));
+  std::thread drainer([&] { fx.server->drain_stop(10000); });
+  Frame f;
+  int got = 0;
+  while (raw.read_frame(&f)) {
+    EXPECT_EQ(f.body, "value-" + std::to_string(got));
+    got++;
+  }
+  drainer.join();
+  EXPECT_EQ(got, kGets);
+  EXPECT_TRUE(raw.eof);
+}
+
+#if !defined(DSTORE_FAULT_INJECTION_DISABLED)
+
+// A read whose submission fails takes the store's synchronous retry path:
+// the right value, and nothing held.
+TEST(NetDeferredRead, TransientReadErrorRetriesSynchronously) {
+  fault::FaultInjector inj;
+  ServerFixture fx(&inj, pmem::Pool::Mode::kDirect, {}, slow_reads(kReadNs));
+  RawConn raw(fx.server->port());
+  uint32_t ns = raw.open_ns(fx.ns_name_on_shard(fx.cfg.fault_shard));
+  preload(raw, ns, 1);
+  fault::FaultPlan plan;
+  plan.add({"ssd.read", 1, fault::FaultType::kError, 0, 1});
+  inj.set_plan(plan);
+  inj.arm();
+  ASSERT_TRUE(raw.send_all(pipelined_gets(ns, 1)));
+  Frame f;
+  ASSERT_TRUE(raw.read_frame(&f));
+  inj.disarm();
+  EXPECT_EQ(f.hdr.status, 0u);
+  EXPECT_EQ(f.body, "value-0");
+  EXPECT_EQ(fx.store->shard(fx.cfg.fault_shard).metrics().counter_value("ssd_io_retries_total"),
+            1u);
+  EXPECT_EQ(fx.server->metrics().value("net_reads_deferred_total"), 0.0);
+}
+
+#endif  // !DSTORE_FAULT_INJECTION_DISABLED
+
+// ---------------------------------------------------------------------------
 // Replication over the wire: the epoch fence as the divergence oracle
 // ---------------------------------------------------------------------------
 
@@ -1271,6 +1470,33 @@ TEST(NetCrashRig, NothingIsSentAfterTheFreeze) {
   int sent = 0;
   while (reader.read_frame(&f)) sent++;
   EXPECT_EQ(sent, 0) << "responses left the server after the freeze";
+  EXPECT_TRUE(reader.eof) << "the crash did not close the connection";
+  EXPECT_TRUE(fx.server->crashed());
+}
+
+// The crash gate covers held output: responses held on their read
+// deadlines when the image freezes are never sent, and the connection
+// closes.
+TEST(NetCrashRig, HeldResponsesAreNotSentAfterTheFreeze) {
+  fault::FaultInjector inj;
+  ServerFixture fx(&inj, pmem::Pool::Mode::kCrashSim, {}, slow_reads(200'000'000));
+  RawConn reader(fx.server->port());
+  uint32_t ns = reader.open_ns(fx.ns_name_on_shard(fx.cfg.fault_shard));
+  constexpr int kGets = 8;
+  preload(reader, ns, kGets);
+  inj.set_plan(fault::FaultPlan{});  // armed only to count device reads
+  inj.arm();
+  ASSERT_TRUE(reader.send_all(pipelined_gets(ns, kGets)));
+  auto deadline = Clock::now() + std::chrono::seconds(10);
+  while (inj.hit_count("ssd.read") < (uint64_t)kGets && Clock::now() < deadline) {
+  }
+  ASSERT_EQ(inj.hit_count("ssd.read"), (uint64_t)kGets) << "GETs never reached the device";
+  inj.trigger_crash();
+
+  Frame f;
+  int sent = 0;
+  while (reader.read_frame(&f)) sent++;
+  EXPECT_EQ(sent, 0) << "held responses left the server after the freeze";
   EXPECT_TRUE(reader.eof) << "the crash did not close the connection";
   EXPECT_TRUE(fx.server->crashed());
 }

@@ -45,6 +45,12 @@
 //                     forks the table and is rejected unless annotated
 //                     `lint: allow-status-code` — extend the X-macro
 //                     instead.
+//   7. loop-wait:     no spin_for_ns(), IoQueue::wait_all() or
+//                     std::this_thread::sleep_*() in src/net/: a server
+//                     loop holds a GET's response until its device deadline
+//                     rather than waiting the read out, so no device wait
+//                     can creep back onto a loop thread. The queue-pair
+//                     bound is annotated `lint: allow-loop-wait`.
 //
 // Usage: dstore_lint <build-dir-with-compile_commands.json>
 //                    [--schema tools/metrics_schema.json]
@@ -54,8 +60,9 @@
 // directory walk since they never appear in a compdb. Exit code 0 when
 // clean, 1 with one "file:line: [check] message" diagnostic per violation.
 //
-// The text-analysis core (stripping, tokenizing, the raw-persist rule)
-// lives in tools/lint_rules.h so tests/lint_test.cc can unit-test it.
+// The text-analysis core (stripping, tokenizing, the raw-persist,
+// status-code and loop-wait rules) lives in tools/lint_rules.h so
+// tests/lint_test.cc can unit-test it.
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
@@ -72,6 +79,7 @@ namespace fs = std::filesystem;
 
 using dstore::lint::Violation;
 using dstore::lint::annotated;
+using dstore::lint::check_loop_waits;
 using dstore::lint::check_raw_persist;
 using dstore::lint::check_status_codes;
 using dstore::lint::compdb_files;
@@ -303,6 +311,7 @@ int main(int argc, char** argv) {
     check_void_discards(rel, src, code);
     check_raw_persist(rel, src, code, &g_violations);
     check_status_codes(rel, src, code, &g_violations);
+    check_loop_waits(rel, src, code, &g_violations);
   }
   check_fault_point_uniqueness();
 

@@ -327,6 +327,65 @@ inline void check_status_codes(const std::string& rel, const std::string& src,
   }
 }
 
+// ---- check: device waits on a server loop ---------------------------------
+//
+// DESIGN.md §15.2: a server loop never waits out device time. It submits a
+// GET's read, holds the response until the read's deadline and keeps
+// polling; its one blocking wait is the queue-pair bound (a full NVMe
+// submission queue). A spin_for_ns(), an IoQueue::wait_all() or a
+// std::this_thread::sleep_for/sleep_until() call in src/net/ puts media
+// time back on a loop thread, where it stalls every connection that loop
+// serves. wait_all counts as a member call (`.wait_all(`, `->wait_all(`)
+// or the qualified `IoQueue::wait_all`; a declaration or another class's
+// definition (`Client::wait_all`) is not a wait.
+//
+// Escape hatch: `// lint: allow-loop-wait <reason>` on the same or the
+// previous line.
+
+inline bool is_loop_file(const std::string& rel) { return rel.rfind("src/net/", 0) == 0; }
+
+// Calls of `name`, qualified or not: the identifier followed by '('.
+inline std::vector<size_t> find_calls(const std::string& code, const std::string& name) {
+  std::vector<size_t> hits;
+  auto word = [](char c) { return std::isalnum((unsigned char)c) || c == '_'; };
+  for (size_t pos = 0; (pos = code.find(name, pos)) != std::string::npos; pos += name.size()) {
+    size_t end = pos + name.size();
+    if ((pos > 0 && word(code[pos - 1])) || (end < code.size() && word(code[end]))) continue;
+    while (end < code.size() && std::isspace((unsigned char)code[end])) end++;
+    if (end < code.size() && code[end] == '(') hits.push_back(pos);
+  }
+  return hits;
+}
+
+// True when `code` spells `prefix` immediately before `pos`.
+inline bool preceded_by(const std::string& code, size_t pos, const std::string& prefix) {
+  return pos >= prefix.size() && code.compare(pos - prefix.size(), prefix.size(), prefix) == 0;
+}
+
+inline void check_loop_waits(const std::string& rel, const std::string& src,
+                             const std::string& code, std::vector<Violation>* out) {
+  if (!is_loop_file(rel)) return;
+  auto flag = [&](size_t pos, const std::string& what) {
+    if (annotated(src, pos, "lint: allow-loop-wait")) return;
+    out->push_back({rel, line_of(code, pos), "loop-wait",
+                    what + " in src/net/ waits on the calling thread — a server loop "
+                           "holds the response to the device deadline instead; "
+                           "annotate `// lint: allow-loop-wait <reason>` if this "
+                           "thread is not a loop"});
+  };
+  for (size_t pos : find_calls(code, "spin_for_ns")) flag(pos, "spin_for_ns()");
+  for (size_t pos : find_calls(code, "wait_all")) {
+    if (preceded_by(code, pos, ".") || preceded_by(code, pos, "->") ||
+        preceded_by(code, pos, "IoQueue::"))
+      flag(pos, "IoQueue::wait_all()");
+  }
+  for (const char* fn : {"sleep_for", "sleep_until"}) {
+    for (size_t pos : find_calls(code, fn)) {
+      if (preceded_by(code, pos, "this_thread::")) flag(pos, std::string("std::this_thread::") + fn + "()");
+    }
+  }
+}
+
 }  // namespace lint
 }  // namespace dstore
 
