@@ -64,6 +64,12 @@ int loop_count(int shards) {
   return std::max(1, std::min(shards, cpus));
 }
 
+// A loop parks (blocks in epoll_wait) only after this long without an
+// event; until then it polls. A parked loop's idle vCPU halts, and the
+// next request pays the host's wake-up before the loop reads it. 1 ms is
+// epoll's own timeout resolution, so the loop cannot time a shorter park.
+constexpr uint64_t kParkAfterIdleNs = 1'000'000;
+
 }  // namespace
 
 struct Server::Impl {
@@ -177,6 +183,8 @@ struct Server::Impl {
     std::priority_queue<uint64_t, std::vector<uint64_t>, std::greater<>> reads_in_flight;
     // Connections with held output; a poll pass releases what is due.
     std::vector<uint64_t> held_conns;
+    std::vector<uint64_t> held_scratch;  // release_holds' swap buffer
+    uint64_t next_reap_ns = 0;           // reap_idle runs at most once per ms
 
     std::thread thread;  // runs run_loop(this); joined by stop()
   };
@@ -199,6 +207,7 @@ struct Server::Impl {
   obs::Counter* m_heartbeats = nullptr;
   obs::Counter* m_idle_reaped = nullptr;
   obs::Counter* m_reads_deferred = nullptr;
+  obs::Counter* m_loop_parks = nullptr;
 
   ~Impl() { teardown_fds(); }
 
@@ -282,6 +291,8 @@ struct Server::Impl {
     m_reads_deferred = metrics.counter("net_reads_deferred_total",
                                        "GET responses held until their device read's "
                                        "completion deadline");
+    m_loop_parks = metrics.counter("net_loop_parks_total",
+                                   "times a loop entered a blocking epoll_wait");
     return Status::ok();
   }
 
@@ -606,7 +617,7 @@ struct Server::Impl {
 
   // One poll pass: write out every held response whose deadline passed.
   void release_holds(Loop* L) {
-    std::vector<uint64_t> ids;
+    std::vector<uint64_t>& ids = L->held_scratch;
     ids.swap(L->held_conns);
     for (uint64_t id : ids) {
       auto it = L->conns_by_id.find(id);
@@ -619,6 +630,7 @@ struct Server::Impl {
         L->held_conns.push_back(id);
       }
     }
+    ids.clear();
   }
 
   void handle_metrics(Conn* c, const Frame& f) {
@@ -846,10 +858,11 @@ struct Server::Impl {
   }
 
   // Drop connections that sent nothing for cfg.idle_timeout_ms (runs at
-  // most once per poll cycle).
-  void reap_idle(Loop* L) {
-    if (cfg.idle_timeout_ms == 0) return;
-    int64_t cutoff = now_ms() - (int64_t)cfg.idle_timeout_ms;
+  // most once per millisecond: a polling loop makes many passes in one).
+  void reap_idle(Loop* L, uint64_t now) {
+    if (cfg.idle_timeout_ms == 0 || now < L->next_reap_ns) return;
+    L->next_reap_ns = now + 1'000'000;
+    int64_t cutoff = (int64_t)(now / 1'000'000) - (int64_t)cfg.idle_timeout_ms;
     std::vector<Conn*> idle;
     for (auto& [fd, c] : L->conns_by_fd) {
       if (c->last_active_ms < cutoff) idle.push_back(c.get());
@@ -883,21 +896,28 @@ struct Server::Impl {
   void run_loop(Loop* L) {
     epoll_event events[256];
     bool accepting = L == loops[0].get();
+    uint64_t last_event_ns = 0;
     while (!stopping.load(std::memory_order_acquire)) {
-      // Held output makes the loop poll rather than block: its deadlines
-      // are microseconds away, far below epoll's millisecond timeout.
-      int n = epoll_wait(L->epoll_fd, events, 256, L->held_conns.empty() ? 100 : 0);
+      // Poll or park: a loop polls while it holds output (the deadlines
+      // are microseconds away) or saw an event in the last
+      // kParkAfterIdleNs; otherwise it blocks.
+      uint64_t now = now_ns();
+      bool poll = !L->held_conns.empty() || now - last_event_ns < kParkAfterIdleNs;
+      if (!poll) m_loop_parks->inc();
+      int n = epoll_wait(L->epoll_fd, events, 256, poll ? 0 : 100);
       if (n < 0) {
         if (errno == EINTR) continue;
         break;
       }
+      if (n > 0 || !poll) now = now_ns();  // the wait moved the clock
+      if (n > 0) last_event_ns = now;
       // A background pool worker may have hit the crash point between
       // polls; stop acking immediately, not on the next mutating op.
       if (crash_tripped()) {
         begin_crash_shutdown();
         break;
       }
-      reap_idle(L);
+      reap_idle(L, now);
       if (draining.load(std::memory_order_acquire)) {
         if (accepting) {
           epoll_ctl(L->epoll_fd, EPOLL_CTL_DEL, listen_fd, nullptr);

@@ -16,10 +16,18 @@
 // not wait the read's latency out: the response is appended and HELD until
 // the read's completion deadline (DStore::oget's deferred mode). A
 // connection's bytes leave in order up to its first unexpired hold, so no
-// response leaves early and none overtakes a held one. A loop with held
-// output polls (epoll timeout 0) and releases due holds every pass; it
-// keeps at most the shard config's ssd_qd reads in flight and, at that
-// bound, waits out the earliest — the one device wait on a loop thread.
+// response leaves early and none overtakes a held one. Every poll pass
+// releases the holds that came due; a loop keeps at most the shard
+// config's ssd_qd reads in flight and, at that bound, waits out the
+// earliest — the one device wait on a loop thread.
+//
+// Poll or park: a loop polls (epoll timeout 0) while it holds output or
+// has seen an event — a read, a hand-off, a completion — in the last
+// millisecond, and parks in a blocking epoll_wait only after a millisecond
+// without one (net_loop_parks_total counts the parks). A parked loop's
+// idle vCPU halts, and the request that ends the park pays the wake-up, so
+// a loop with steady traffic keeps polling and takes a core; an idle
+// server burns nothing.
 //
 // Tenancy: each namespace lives wholly on ONE ShardedStore shard — its
 // home is shard_of(ns_name), recomputable after any restart, so the
