@@ -1,16 +1,17 @@
-// net_loadgen — concurrency/latency loadgen for dstore_serverd
-// (DESIGN.md §15).
+// net_loadgen — connection-scale smoke for dstore_serverd (DESIGN.md §15).
 //
 // Drives N concurrent connections (default 1000), each pipelining up to
 // --depth requests over the DSTP wire protocol, from a small pool of epoll
 // worker threads — the client side mirrors the server's own event-loop
 // idiom, so neither side needs thread-per-connection. Each connection
 // opens a tenant namespace (64 tenants spread over the shards) and runs a
-// 50/50 put/get mix; every request is timed submit->completion and folded
-// into put/get histograms.
+// 50/50 put/get mix.
 //
-// Output: one line per op with throughput + p50/p99/p999, and
-// BENCH_net_latency.json (JsonReport schema) for bench/results/.
+// Output: one line with the completed op count, wall time and errors. It
+// exits 1 on any failed op or connection. It reports no latency: a closed
+// loop's latency is its queue depth over its throughput (Little's law),
+// not a service time; served latency comes from perfbench's open-loop
+// driver.
 //
 // Usage:
 //   net_loadgen [--conns N] [--depth D] [--ops N] [--threads T]
@@ -40,7 +41,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "common/histogram.h"
 #include "dstore/sharded.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -80,11 +80,7 @@ struct Conn {
   uint64_t next_id = 1;
   uint64_t submitted = 0;  // data ops submitted (excludes OPEN_NS)
   uint64_t completed = 0;
-  struct Pending {
-    uint64_t sent_ns;
-    bool is_get;
-  };
-  std::unordered_map<uint64_t, Pending> inflight;
+  std::unordered_map<uint64_t, bool> inflight;  // req_id -> is_get
   bool done = false;
 };
 
@@ -93,7 +89,6 @@ struct Worker {
   uint16_t port;
   std::vector<std::unique_ptr<Conn>> conns;
   int epoll_fd = -1;
-  LatencyHistogram put_hist, get_hist;
   uint64_t errors = 0;
   uint64_t done_conns = 0;
 
@@ -170,7 +165,7 @@ struct Worker {
         append_frame(&c->out, Op::kPut, id, 0,
                      put_body(c->ns_id, key, value.data(), value.size()));
       }
-      c->inflight.emplace(id, Conn::Pending{mono_ns(), is_get});
+      c->inflight.emplace(id, is_get);
     }
   }
 
@@ -186,14 +181,12 @@ struct Worker {
     }
     auto it = c->inflight.find(f.hdr.req_id);
     if (it == c->inflight.end()) return fail(c, "unknown req_id");
-    uint64_t lat = mono_ns() - it->second.sent_ns;
-    bool is_get = it->second.is_get;
+    bool is_get = it->second;
     c->inflight.erase(it);
     c->completed++;
     if (f.hdr.status != 0 && !(is_get && code_from_wire(f.hdr.status) == Code::kNotFound)) {
       errors++;  // NotFound on a racing get of a just-rotated key is benign
     }
-    (is_get ? get_hist : put_hist).record(lat);
     if (c->completed == opt->ops_per_conn) finish(c);
   }
 
@@ -370,31 +363,14 @@ int main(int argc, char** argv) {
   for (auto& t : pool) t.join();
   double wall_s = (double)(mono_ns() - t0) / 1e9;
 
-  LatencyHistogram put_hist, get_hist;
+  uint64_t total_ops = 0;
   uint64_t errors = 0;
   for (auto& w : workers) {
-    put_hist.merge(w.put_hist);
-    get_hist.merge(w.get_hist);
+    for (auto& c : w.conns) total_ops += c->completed;
     errors += w.errors;
   }
-  uint64_t total_ops = put_hist.count() + get_hist.count();
-  double iops = wall_s > 0 ? (double)total_ops / wall_s : 0;
-
-  printf("completed %llu ops over %d connections in %.2fs (%.0f op/s, %llu errors)\n",
-         (unsigned long long)total_ops, opt.conns, wall_s, iops,
-         (unsigned long long)errors);
-  printf("put  %s\n", put_hist.summary_us().c_str());
-  printf("get  %s\n", get_hist.summary_us().c_str());
-
-  bench::JsonReport report("net_latency");
-  double put_share = total_ops > 0 ? (double)put_hist.count() / (double)total_ops : 0;
-  report.add("put", "serverd", (uint64_t)opt.depth, opt.threads, opt.value_size, put_hist,
-             iops * put_share);
-  report.add("get", "serverd", (uint64_t)opt.depth, opt.threads, opt.value_size, get_hist,
-             iops * (1.0 - put_share));
-  report.add(bench::JsonReport::Row{"mixed", "serverd", (uint64_t)opt.depth, opt.threads,
-                                    opt.value_size, 0, 0, 0, iops});
-  if (!report.write()) return 1;
+  printf("completed %llu ops over %d connections in %.2fs (%llu errors)\n",
+         (unsigned long long)total_ops, opt.conns, wall_s, (unsigned long long)errors);
 
   if (opt.scrape) {
     auto client = opt.addr.empty() ? Client::connect("127.0.0.1", port)

@@ -1,6 +1,5 @@
 #include "dstore/dstore_c.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -10,31 +9,25 @@
 #include "dstore/dstore.h"
 #include "net/client.h"
 
-// Opaque wrapper types (global-scope, C linkage side).
-struct dstore_t {
+namespace {
+
+// An embedded store and the emulated media it owns.
+struct EmbeddedStore {
   dstore::DStoreConfig cfg;
   std::unique_ptr<dstore::pmem::Pool> pool;
   std::unique_ptr<dstore::ssd::BlockDevice> device;
   std::unique_ptr<dstore::DStore> store;
 };
 
-struct ds_ctx {
-  dstore_t* owner;
-  dstore::ds_ctx_t* ctx;
-};
+}  // namespace
 
-struct ds_obj {
-  dstore_t* owner;
-  dstore::Object* obj;
-};
-
-// A v3 session: exactly one of {store, client} is set (embedded vs
-// remote), plus the per-session error slot. The slot has its own lock so
+// A session: exactly one of {store, client} is set (embedded vs remote),
+// plus the per-session error slot. The slot has its own lock so
 // ds_session_last_error*() can be called while another thread still runs
 // the session's last op — the rest of a session is single-threaded by
-// contract, like a ds_ctx_t.
+// contract.
 struct ds_session {
-  std::unique_ptr<dstore_t> store;             // embedded ("mem:", "dir:")
+  std::unique_ptr<EmbeddedStore> store;        // embedded ("mem:", "dir:")
   std::unique_ptr<dstore::net::Client> client; // remote ("host:port")
 
   mutable dstore::SpinLock err_mu{"capi.session_err"};
@@ -53,33 +46,21 @@ struct ds_namespace {
   uint32_t ns_id = 0;               // remote
 };
 
+// An open object of an embedded namespace.
+struct ds_object {
+  ds_namespace_t* owner = nullptr;
+  dstore::Object* obj = nullptr;
+};
+
 namespace {
 
 constexpr char kNsSep = '\x1f';
 
-// ds_last_error state: one slot per thread, overwritten by every v2
-// binding call (and by ds_session_open failures, which have no session).
-thread_local int tls_last_code = DS_OK;
-thread_local std::string tls_last_msg;
+// ds_open_error state: written only by ds_session_open, whose failures
+// have no session to report through.
+thread_local std::string tls_open_error;
 
-int record(const dstore::Status& s) {
-  tls_last_code = dstore::errno_of(s.code());
-  if (s.is_ok()) {
-    tls_last_msg.clear();
-  } else {
-    tls_last_msg = s.to_string();
-  }
-  return tls_last_code;
-}
-
-int record_errno(int code, const char* msg) {
-  tls_last_code = code;
-  tls_last_msg = code == DS_OK ? "" : msg;
-  return code;
-}
-
-// Per-session recording (v3): sessions never observe each other's errors.
-int srecord(ds_session_t* s, const dstore::Status& st) {
+int record(ds_session_t* s, const dstore::Status& st) {
   int code = dstore::errno_of(st.code());
   dstore::LockGuard<dstore::SpinLock> g(s->err_mu);
   s->err_code = code;
@@ -91,11 +72,23 @@ int srecord(ds_session_t* s, const dstore::Status& st) {
   return code;
 }
 
-int srecord_errno(ds_session_t* s, int code, const char* msg) {
+// A failure the bindings detect themselves (never DS_OK).
+int record_errno(ds_session_t* s, int code, const char* msg) {
   dstore::LockGuard<dstore::SpinLock> g(s->err_mu);
   s->err_code = code;
-  s->err_msg = code == DS_OK ? "" : msg;
+  s->err_msg = msg;
   return code;
+}
+
+// A byte-count outcome: the count on success, else the recorded code.
+ssize_t record_count(ds_session_t* s, const dstore::Result<size_t>& r) {
+  if (!r.is_ok()) return record(s, r.status());
+  record(s, dstore::Status::ok());
+  return (ssize_t)r.value();
+}
+
+dstore::Status no_remote_objects() {
+  return dstore::Status::unsupported("DSTP has no object or lock opcodes");
 }
 
 dstore::DStoreConfig config_from(const dstore_options* o) {
@@ -109,62 +102,46 @@ dstore::DStoreConfig config_from(const dstore_options* o) {
   return cfg;
 }
 
-// Shared by v2 dstore_open and v3 embedded sessions. `dir` overrides the
-// options' backing_dir (v3 carries the path in the target string).
-dstore_t* open_store(const dstore_options* options, const char* dir, int create) {
-  auto s = std::make_unique<dstore_t>();
+// An embedded store: file-backed under `dir`, in RAM when `dir` is null.
+dstore::Result<std::unique_ptr<EmbeddedStore>> open_store(const dstore_options* options,
+                                                          const char* dir, int create) {
+  auto s = std::make_unique<EmbeddedStore>();
   s->cfg = config_from(options);
   size_t pool_bytes = dstore::DStoreConfig::required_pool_bytes(s->cfg);
-  if (dir == nullptr && options != nullptr) dir = options->backing_dir;
+  dstore::ssd::DeviceConfig dc;
+  dc.num_blocks = s->cfg.num_blocks;
   if (dir != nullptr) {
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     auto pool = dstore::pmem::Pool::open_file(std::string(dir) + "/pmem.img", pool_bytes,
                                               dstore::LatencyModel::none(), create != 0);
-    if (!pool.is_ok()) {
-      record(pool.status());
-      return nullptr;
-    }
+    if (!pool.is_ok()) return pool.status();
     s->pool = std::move(pool).value();
-    dstore::ssd::DeviceConfig dc;
-    dc.num_blocks = s->cfg.num_blocks;
     auto dev = dstore::ssd::FileBlockDevice::open(std::string(dir) + "/data.img", dc,
                                                   create != 0);
-    if (!dev.is_ok()) {
-      record(dev.status());
-      return nullptr;
-    }
+    if (!dev.is_ok()) return dev.status();
     s->device = std::move(dev).value();
   } else {
     s->pool = std::make_unique<dstore::pmem::Pool>(pool_bytes,
                                                    dstore::pmem::Pool::Mode::kDirect);
-    dstore::ssd::DeviceConfig dc;
-    dc.num_blocks = s->cfg.num_blocks;
     s->device = std::make_unique<dstore::ssd::RamBlockDevice>(dc);
   }
   auto store = create != 0 ? dstore::DStore::create(s->pool.get(), s->device.get(), s->cfg)
                            : dstore::DStore::recover(s->pool.get(), s->device.get(), s->cfg);
-  if (!store.is_ok()) {
-    record(store.status());
-    return nullptr;
-  }
+  if (!store.is_ok()) return store.status();
   s->store = std::move(store).value();
-  record(dstore::Status::ok());
-  return s.release();
+  return s;
 }
 
 std::string tenant_key(const std::string& ns_name, const char* key) {
-  std::string k;
-  k.reserve(ns_name.size() + 1 + strlen(key));
-  k.append(ns_name);
-  k.push_back(kNsSep);
-  k.append(key);
-  return k;
+  return ns_name + kNsSep + key;
 }
 
 bool valid_ns_name(const char* name) {
   return name != nullptr && name[0] != '\0' && strchr(name, kNsSep) == nullptr;
 }
+
+dstore::DStore& engine_of(const ds_namespace_t* ns) { return *ns->owner->store->store; }
 
 }  // namespace
 
@@ -174,30 +151,28 @@ uint32_t ds_api_version(void) {
   return ((uint32_t)DS_API_VERSION_MAJOR << 16) | (uint32_t)DS_API_VERSION_MINOR;
 }
 
-/* ======================================================================
- * v3: sessions and namespaces
- * ====================================================================== */
+/* ---- sessions ---- */
 
 ds_session_t* ds_session_open(const char* target, const ds_session_options* options) {
-  if (target == nullptr) {
-    record_errno(DS_EINVAL, "null target");
+  auto fail = [](const std::string& why) -> ds_session_t* {
+    tls_open_error = why;
     return nullptr;
-  }
+  };
+  if (target == nullptr) return fail("null target");
   std::string t = target;
   auto session = std::make_unique<ds_session>();
-  const dstore_options* store_opts = options != nullptr ? &options->store : nullptr;
-  if (t == "mem:" || t == "mem") {
-    session->store.reset(open_store(store_opts, nullptr, 1));
-    if (!session->store) return nullptr;  // open_store recorded the reason
-  } else if (t.rfind("dir:", 0) == 0) {
-    std::string dir = t.substr(4);
-    if (dir.empty()) {
-      record_errno(DS_EINVAL, "dir: target needs a path");
-      return nullptr;
+  if (t == "mem:" || t == "mem" || t.rfind("dir:", 0) == 0) {
+    std::string dir;
+    int create = 1;
+    if (t.rfind("dir:", 0) == 0) {
+      dir = t.substr(4);
+      if (dir.empty()) return fail("dir: target needs a path");
+      if (options != nullptr) create = options->create;
     }
-    session->store.reset(
-        open_store(store_opts, dir.c_str(), options == nullptr ? 1 : options->create));
-    if (!session->store) return nullptr;
+    auto store = open_store(options != nullptr ? &options->store : nullptr,
+                            dir.empty() ? nullptr : dir.c_str(), create);
+    if (!store.is_ok()) return fail(store.status().to_string());
+    session->store = std::move(store).value();
   } else {
     // Remote: "tcp:host:port" or bare "host:port".
     std::string hostport = t.rfind("tcp:", 0) == 0 ? t.substr(4) : t;
@@ -206,117 +181,176 @@ ds_session_t* ds_session_open(const char* target, const ds_session_options* opti
       cfg.pipeline_depth = options->pipeline_depth;
     }
     auto client = dstore::net::Client::connect(hostport, cfg);
-    if (!client.is_ok()) {
-      record(client.status());
-      return nullptr;
-    }
+    if (!client.is_ok()) return fail(client.status().to_string());
     session->client = std::move(client).value();
   }
-  record(dstore::Status::ok());
+  tls_open_error.clear();
   return session.release();
 }
 
 void ds_session_close(ds_session_t* session) { delete session; }
 
+const char* ds_open_error(void) { return tls_open_error.c_str(); }
+
+/* ---- namespaces ---- */
+
 ds_namespace_t* ds_namespace_open(ds_session_t* session, const char* name) {
-  if (session == nullptr) {
-    record_errno(DS_EINVAL, "null session");
-    return nullptr;
-  }
+  if (session == nullptr) return nullptr;
   if (!valid_ns_name(name)) {
-    srecord_errno(session, DS_EINVAL, "malformed namespace name");
+    record_errno(session, DS_EINVAL, "malformed namespace name");
     return nullptr;
   }
-  auto ns = std::make_unique<ds_namespace>();
-  ns->owner = session;
-  ns->name = name;
+  auto ns = std::make_unique<ds_namespace>(ds_namespace{session, name});
   if (session->client) {
     auto info = session->client->open_namespace(name);
     if (!info.is_ok()) {
-      srecord(session, info.status());
+      record(session, info.status());
       return nullptr;
     }
     ns->ns_id = info.value().ns_id;
   } else {
     ns->ctx = session->store->store->ds_init();
   }
-  srecord(session, dstore::Status::ok());
+  record(session, dstore::Status::ok());
   return ns.release();
 }
 
 void ds_namespace_close(ds_namespace_t* ns) {
   if (ns == nullptr) return;
-  if (ns->ctx != nullptr) ns->owner->store->store->ds_finalize(ns->ctx);
+  if (ns->ctx != nullptr) engine_of(ns).ds_finalize(ns->ctx);
   delete ns;
 }
 
+/* ---- key-value style ---- */
+
 ssize_t ds_put(ds_namespace_t* ns, const char* key, const void* value, size_t size) {
-  if (ns == nullptr) return record_errno(DS_EINVAL, "null namespace");
-  if (key == nullptr) return srecord_errno(ns->owner, DS_EINVAL, "null key");
+  if (ns == nullptr) return DS_EINVAL;
+  if (key == nullptr) return record_errno(ns->owner, DS_EINVAL, "null key");
   ds_session_t* s = ns->owner;
   dstore::Status st = s->client
                           ? s->client->put(ns->ns_id, key, value, size)
-                          : s->store->store->oput(ns->ctx, tenant_key(ns->name, key),
-                                                  value, size);
-  int code = srecord(s, st);
+                          : engine_of(ns).oput(ns->ctx, tenant_key(ns->name, key), value, size);
+  int code = record(s, st);
   return st.is_ok() ? (ssize_t)size : code;
 }
 
 ssize_t ds_get(ds_namespace_t* ns, const char* key, void* value, size_t value_cap) {
-  if (ns == nullptr) return record_errno(DS_EINVAL, "null namespace");
-  if (key == nullptr) return srecord_errno(ns->owner, DS_EINVAL, "null key");
+  if (ns == nullptr) return DS_EINVAL;
+  if (key == nullptr) return record_errno(ns->owner, DS_EINVAL, "null key");
   ds_session_t* s = ns->owner;
   if (s->client) {
     auto r = s->client->get(ns->ns_id, key);
-    if (!r.is_ok()) return srecord(s, r.status());
+    if (!r.is_ok()) return record(s, r.status());
     size_t n = r.value().size() < value_cap ? r.value().size() : value_cap;
     if (n > 0) memcpy(value, r.value().data(), n);
-    srecord(s, dstore::Status::ok());
+    record(s, dstore::Status::ok());
     return (ssize_t)r.value().size();
   }
-  auto r = s->store->store->oget(ns->ctx, tenant_key(ns->name, key), value, value_cap);
-  if (!r.is_ok()) return srecord(s, r.status());
-  srecord(s, dstore::Status::ok());
-  return (ssize_t)r.value();
+  return record_count(s, engine_of(ns).oget(ns->ctx, tenant_key(ns->name, key), value,
+                                            value_cap));
 }
 
 int ds_delete(ds_namespace_t* ns, const char* key) {
-  if (ns == nullptr) return record_errno(DS_EINVAL, "null namespace");
-  if (key == nullptr) return srecord_errno(ns->owner, DS_EINVAL, "null key");
+  if (ns == nullptr) return DS_EINVAL;
+  if (key == nullptr) return record_errno(ns->owner, DS_EINVAL, "null key");
   ds_session_t* s = ns->owner;
-  return srecord(s, s->client ? s->client->del(ns->ns_id, key)
-                              : s->store->store->odelete(ns->ctx, tenant_key(ns->name, key)));
+  return record(s, s->client ? s->client->del(ns->ns_id, key)
+                             : engine_of(ns).odelete(ns->ctx, tenant_key(ns->name, key)));
 }
 
+/* ---- filesystem style ---- */
+
+ds_object_t* ds_object_open(ds_namespace_t* ns, const char* name, size_t size,
+                            uint32_t mode) {
+  if (ns == nullptr) return nullptr;
+  ds_session_t* s = ns->owner;
+  if (name == nullptr) {
+    record_errno(s, DS_EINVAL, "null name");
+    return nullptr;
+  }
+  if (s->client) {
+    record(s, no_remote_objects());
+    return nullptr;
+  }
+  static_assert(DS_O_READ == dstore::kRead && DS_O_WRITE == dstore::kWrite &&
+                    DS_O_CREATE == dstore::kCreate,
+                "DS_O_* flags are the engine's open modes");
+  auto r = engine_of(ns).oopen(ns->ctx, tenant_key(ns->name, name), size, mode);
+  if (!r.is_ok()) {
+    record(s, r.status());
+    return nullptr;
+  }
+  record(s, dstore::Status::ok());
+  return new ds_object{ns, r.value()};
+}
+
+void ds_object_close(ds_object_t* object) {
+  if (object == nullptr) return;
+  engine_of(object->owner).oclose(object->obj);
+  delete object;
+}
+
+ssize_t ds_read(ds_object_t* object, void* buf, size_t size, off_t offset) {
+  if (object == nullptr) return DS_EINVAL;
+  return record_count(object->owner->owner, engine_of(object->owner).oread(
+                                                object->obj, buf, size, (uint64_t)offset));
+}
+
+ssize_t ds_write(ds_object_t* object, const void* buf, size_t size, off_t offset) {
+  if (object == nullptr) return DS_EINVAL;
+  return record_count(object->owner->owner, engine_of(object->owner).owrite(
+                                                object->obj, buf, size, (uint64_t)offset));
+}
+
+/* ---- concurrency control ---- */
+
+int ds_lock(ds_namespace_t* ns, const char* name) {
+  if (ns == nullptr) return DS_EINVAL;
+  if (name == nullptr) return record_errno(ns->owner, DS_EINVAL, "null name");
+  if (ns->owner->client) return record(ns->owner, no_remote_objects());
+  return record(ns->owner, engine_of(ns).olock(ns->ctx, tenant_key(ns->name, name)));
+}
+
+int ds_unlock(ds_namespace_t* ns, const char* name) {
+  if (ns == nullptr) return DS_EINVAL;
+  if (name == nullptr) return record_errno(ns->owner, DS_EINVAL, "null name");
+  if (ns->owner->client) return record(ns->owner, no_remote_objects());
+  return record(ns->owner, engine_of(ns).ounlock(ns->ctx, tenant_key(ns->name, name)));
+}
+
+/* ---- maintenance ---- */
+
 int ds_scrub(ds_session_t* session) {
-  if (session == nullptr) return record_errno(DS_EINVAL, "null session");
+  if (session == nullptr) return DS_EINVAL;
   if (session->client) {
     auto r = session->client->scrub();
-    return srecord(session, r.is_ok() ? dstore::Status::ok() : r.status());
+    return record(session, r.is_ok() ? dstore::Status::ok() : r.status());
   }
-  return srecord(session, session->store->store->scrub_now());
+  return record(session, session->store->store->scrub_now());
 }
 
 int ds_checkpoint(ds_session_t* session) {
-  if (session == nullptr) return record_errno(DS_EINVAL, "null session");
+  if (session == nullptr) return DS_EINVAL;
   if (session->client) {
-    return srecord(session, dstore::Status::unsupported(
-                                "remote servers checkpoint at the log watermark"));
+    return record(session, dstore::Status::unsupported(
+                               "remote servers checkpoint at the log watermark"));
   }
-  return srecord(session, session->store->store->checkpoint_now());
+  return record(session, session->store->store->checkpoint_now());
 }
 
+/* ---- observability ---- */
+
 char* ds_session_metrics(ds_session_t* session, int format) {
-  if (session == nullptr ||
-      (format != DS_METRICS_JSON && format != DS_METRICS_PROMETHEUS)) {
-    record_errno(DS_EINVAL, "null session or bad format");
+  if (session == nullptr) return nullptr;
+  if (format != DS_METRICS_JSON && format != DS_METRICS_PROMETHEUS) {
+    record_errno(session, DS_EINVAL, "bad metrics format");
     return nullptr;
   }
   std::string out;
   if (session->client) {
     auto r = session->client->metrics((uint8_t)format);
     if (!r.is_ok()) {
-      srecord(session, r.status());
+      record(session, r.status());
       return nullptr;
     }
     out = std::move(r).value();
@@ -324,16 +358,16 @@ char* ds_session_metrics(ds_session_t* session, int format) {
     out = format == DS_METRICS_JSON ? session->store->store->metrics_json()
                                     : session->store->store->metrics_prometheus();
   }
-  char* buf = static_cast<char*>(malloc(out.size() + 1));
+  char* buf = strdup(out.c_str());  // scrapes are text: no embedded NULs
   if (buf == nullptr) {
-    srecord_errno(session, DS_EINTERNAL, "out of memory");
+    record_errno(session, DS_EINTERNAL, "out of memory");
     return nullptr;
   }
-  memcpy(buf, out.data(), out.size());
-  buf[out.size()] = '\0';
-  srecord(session, dstore::Status::ok());
+  record(session, dstore::Status::ok());
   return buf;
 }
+
+/* ---- error reporting ---- */
 
 int ds_session_last_error_code(const ds_session_t* session) {
   if (session == nullptr) return DS_EINVAL;
@@ -346,139 +380,5 @@ const char* ds_session_last_error(const ds_session_t* session) {
   dstore::LockGuard<dstore::SpinLock> g(session->err_mu);
   return session->err_msg.c_str();
 }
-
-/* ======================================================================
- * v2: deprecated shims (same engine underneath)
- * ====================================================================== */
-
-dstore_t* dstore_open(const dstore_options* options, int create) {
-  return open_store(options, nullptr, create);
-}
-
-void dstore_close(dstore_t* store) {
-  delete store;
-}
-
-ds_ctx_t* ds_init(dstore_t* store) {
-  if (store == nullptr) return nullptr;
-  auto* c = new ds_ctx;
-  c->owner = store;
-  c->ctx = store->store->ds_init();
-  return c;
-}
-
-void ds_finalize(ds_ctx_t* ctx) {
-  if (ctx == nullptr) return;
-  ctx->owner->store->ds_finalize(ctx->ctx);
-  delete ctx;
-}
-
-OBJECT* oopen(ds_ctx_t* ctx, const char* name, size_t size, uint32_t op) {
-  if (ctx == nullptr || name == nullptr) {
-    record_errno(DS_EINVAL, "null context or name");
-    return nullptr;
-  }
-  uint32_t mode = 0;
-  if (op & DS_O_READ) mode |= dstore::kRead;
-  if (op & DS_O_WRITE) mode |= dstore::kWrite;
-  if (op & DS_O_CREATE) mode |= dstore::kCreate;
-  auto r = ctx->owner->store->oopen(ctx->ctx, name, size, mode);
-  if (!r.is_ok()) {
-    record(r.status());
-    return nullptr;
-  }
-  record(dstore::Status::ok());
-  auto* o = new ds_obj;
-  o->owner = ctx->owner;
-  o->obj = r.value();
-  return o;
-}
-
-void oclose(OBJECT* object) {
-  if (object == nullptr) return;
-  object->owner->store->oclose(object->obj);
-  delete object;
-}
-
-ssize_t oread(OBJECT* object, void* buf, size_t size, off_t offset) {
-  if (object == nullptr) return record_errno(DS_EINVAL, "null object");
-  auto r = object->owner->store->oread(object->obj, buf, size, (uint64_t)offset);
-  if (!r.is_ok()) return record(r.status());
-  record(dstore::Status::ok());
-  return (ssize_t)r.value();
-}
-
-ssize_t owrite(OBJECT* object, const void* buf, size_t size, off_t offset) {
-  if (object == nullptr) return record_errno(DS_EINVAL, "null object");
-  auto r = object->owner->store->owrite(object->obj, buf, size, (uint64_t)offset);
-  if (!r.is_ok()) return record(r.status());
-  record(dstore::Status::ok());
-  return (ssize_t)r.value();
-}
-
-ssize_t oget(ds_ctx_t* ctx, const char* key, void* value, size_t value_cap) {
-  if (ctx == nullptr || key == nullptr) return record_errno(DS_EINVAL, "null context or key");
-  auto r = ctx->owner->store->oget(ctx->ctx, key, value, value_cap);
-  if (!r.is_ok()) return record(r.status());
-  record(dstore::Status::ok());
-  return (ssize_t)r.value();
-}
-
-ssize_t oput(ds_ctx_t* ctx, const char* key, const void* value, size_t size) {
-  if (ctx == nullptr || key == nullptr) return record_errno(DS_EINVAL, "null context or key");
-  dstore::Status s = ctx->owner->store->oput(ctx->ctx, key, value, size);
-  if (!s.is_ok()) return record(s);
-  record(s);
-  return (ssize_t)size;
-}
-
-int odelete(ds_ctx_t* ctx, const char* name) {
-  if (ctx == nullptr || name == nullptr) return record_errno(DS_EINVAL, "null context or name");
-  return record(ctx->owner->store->odelete(ctx->ctx, name));
-}
-
-int olock(ds_ctx_t* ctx, const char* name) {
-  if (ctx == nullptr || name == nullptr) return record_errno(DS_EINVAL, "null context or name");
-  return record(ctx->owner->store->olock(ctx->ctx, name));
-}
-
-int ounlock(ds_ctx_t* ctx, const char* name) {
-  if (ctx == nullptr || name == nullptr) return record_errno(DS_EINVAL, "null context or name");
-  return record(ctx->owner->store->ounlock(ctx->ctx, name));
-}
-
-int dstore_checkpoint(dstore_t* store) {
-  if (store == nullptr) return record_errno(DS_EINVAL, "null store");
-  return record(store->store->checkpoint_now());
-}
-
-uint64_t dstore_object_count(dstore_t* store) {
-  if (store == nullptr) return 0;
-  return store->store->object_count();
-}
-
-char* ds_metrics_dump(dstore_t* store, int format) {
-  if (store == nullptr || (format != DS_METRICS_JSON && format != DS_METRICS_PROMETHEUS)) {
-    record_errno(DS_EINVAL, "null store or bad format");
-    return nullptr;
-  }
-  std::string out = format == DS_METRICS_JSON ? store->store->metrics_json()
-                                              : store->store->metrics_prometheus();
-  char* buf = static_cast<char*>(malloc(out.size() + 1));
-  if (buf == nullptr) {
-    record_errno(DS_EINTERNAL, "out of memory");
-    return nullptr;
-  }
-  memcpy(buf, out.data(), out.size());
-  buf[out.size()] = '\0';
-  record(dstore::Status::ok());
-  return buf;
-}
-
-int ds_last_error_code(void) { return tls_last_code; }
-
-const char* ds_last_error(void) { return tls_last_msg.c_str(); }
-
-const char* ds_open_error(void) { return tls_last_msg.c_str(); }
 
 }  // extern "C"

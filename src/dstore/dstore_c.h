@@ -1,8 +1,7 @@
 /* dstore_c.h — C bindings for DStore.
  *
- * v3 (current): handle-based sessions and namespaces. ds_session_open()
- * is ONE surface for embedded and remote stores — the target string picks
- * the transport:
+ * Handle-based sessions and namespaces. ds_session_open() is ONE surface
+ * for embedded and remote stores — the target string picks the transport:
  *
  *     ds_session_t* s = ds_session_open("mem:", NULL);          // embedded, RAM
  *     ds_session_t* s = ds_session_open("dir:/var/db", &opt);   // embedded, files
@@ -12,17 +11,22 @@
  *
  * A namespace is a tenant: its keys are isolated from every other
  * namespace (remotely it maps onto one ShardedStore shard; DESIGN.md
- * §15). Errors are per-session: ds_session_last_error_code/_error report
- * the session's most recent outcome, so concurrent sessions never see
- * each other's failures. A session and its namespaces are intended for
- * one thread at a time (like ds_ctx_t); open one session per worker.
+ * §15). The paper's Table 2 calls are namespace-scoped here:
+ *     oget/oput/odelete          -> ds_get/ds_put/ds_delete
+ *     oopen/oclose/oread/owrite  -> ds_object_open/ds_object_close/
+ *                                   ds_read/ds_write
+ *     olock/ounlock              -> ds_lock/ds_unlock
+ * Objects and locks are embedded-only: DSTP has no object opcodes, so on a
+ * remote session those calls fail with DS_ENOTSUP.
  *
- * v2 (deprecated, kept as shims): the flat Table-2 surface —
- * ds_init/ds_finalize, oopen/oclose/oread/owrite, oget/oput/odelete,
- * olock/ounlock over a dstore_t. Every v2 entry point still works but is
- * marked DS_DEPRECATED; see DESIGN.md §15 for the v2→v3 migration map.
+ * Errors are per-session: ds_session_last_error_code/_error report the
+ * outcome of the most recent call made through the session or any handle
+ * it owns, so concurrent sessions never see each other's failures. A call
+ * given a NULL handle returns DS_EINVAL (or NULL) and records nothing —
+ * there is no session to record it on. A session and its handles are
+ * intended for one thread at a time; open one session per worker.
  *
- * Error reporting: functions returning int use 0 for success and a
+ * Return conventions: functions returning int use 0 for success and a
  * negative dstore error code otherwise (DS_E*, generated from
  * common/status_codes.h); byte-count functions return >= 0 or a negative
  * error code, mirroring POSIX ssize_t conventions.
@@ -46,43 +50,37 @@ extern "C" {
  * tools/dstore_lint additionally rejects discarded Status returns in src/. */
 #if defined(__GNUC__) || defined(__clang__)
 #define DS_NODISCARD __attribute__((warn_unused_result))
-#define DS_DEPRECATED(msg) __attribute__((deprecated(msg)))
 #else
 #define DS_NODISCARD
-#define DS_DEPRECATED(msg)
 #endif
 
 /* Binding version, bumped whenever this header's contract changes.
+ * 4.0: the flat global-store surface (dstore_open, ds_init, oopen, oget,
+ * olock, ds_metrics_dump, ds_last_error, ...) is removed; objects and
+ * locks gained namespace-scoped forms; dstore_options lost its directory
+ * field ("dir:" targets carry the path).
  * 3.0: handle-based ds_session_t/ds_namespace_t API, one open surface for
- * embedded and remote stores, per-session error slots; the v2 flat
- * surface is retained as deprecated wrappers.
+ * embedded and remote stores, per-session error slots.
  * 2.0: removed the DStore::Stats/StageStats C++ getters the bindings sat
- * on; added ds_api_version() and ds_metrics_dump(). */
-#define DS_API_VERSION_MAJOR 3
+ * on; added ds_api_version() and metrics scrapes. */
+#define DS_API_VERSION_MAJOR 4
 #define DS_API_VERSION_MINOR 0
 
 /* Runtime version of the linked library: (major << 16) | minor. Compare
  * the major against DS_API_VERSION_MAJOR before using anything else. */
 uint32_t ds_api_version(void);
 
-typedef struct dstore_t dstore_t; /* the store (opaque; v2 and embedded v3) */
-typedef struct ds_ctx ds_ctx_t;   /* per-thread context (opaque; v2) */
-typedef struct ds_obj OBJECT;     /* open-object handle (opaque; v2) */
+typedef struct ds_session ds_session_t;     /* a store connection (opaque) */
+typedef struct ds_namespace ds_namespace_t; /* a tenant keyspace (opaque) */
+typedef struct ds_object ds_object_t;       /* an open object (opaque) */
 
+/* Sizing of an embedded store (0 = default for every field). */
 typedef struct dstore_options {
   uint64_t max_objects;   /* metadata capacity (default 16384 if 0) */
   uint64_t num_blocks;    /* SSD blocks (default 65536 if 0) */
   uint32_t log_slots;     /* DIPPER log capacity (default 8192 if 0) */
   int background_checkpointing; /* nonzero = run the checkpoint thread */
-  const char* backing_dir; /* NULL = in-memory; else persistent files here */
 } dstore_options;
-
-/* ======================================================================
- * v3: sessions and namespaces
- * ====================================================================== */
-
-typedef struct ds_session ds_session_t;     /* a store connection (opaque) */
-typedef struct ds_namespace ds_namespace_t; /* a tenant keyspace (opaque) */
 
 typedef struct ds_session_options {
   dstore_options store;    /* embedded targets: sizing knobs (0 = defaults) */
@@ -91,20 +89,23 @@ typedef struct ds_session_options {
   uint32_t pipeline_depth; /* remote targets: max in-flight frames (0 = 64) */
 } ds_session_options;
 
+/* ---- sessions ---- */
+
 /* Open a session. Targets:
  *   "mem:"           fresh in-memory embedded store
  *   "dir:PATH"       file-backed embedded store at PATH
  *   "HOST:PORT"      remote dstore_serverd (also "tcp:HOST:PORT")
  * options may be NULL for defaults. Returns NULL on failure; the reason
- * is readable via ds_open_error() (a thread-local slot — there is no
- * session to carry it yet). */
+ * is readable via ds_open_error(). */
 ds_session_t* ds_session_open(const char* target, const ds_session_options* options);
 void ds_session_close(ds_session_t* session);
 
-/* Why the most recent ds_session_open() on this thread returned NULL.
- * (The v3 face of the thread-local slot the deprecated ds_last_error()
- * also reads.) */
+/* Why the most recent ds_session_open() on this thread returned NULL, or
+ * "" when it succeeded. A thread-local slot: there is no session to carry
+ * the reason. Only ds_session_open() writes it. */
 const char* ds_open_error(void);
+
+/* ---- namespaces ---- */
 
 /* Open (creating on first use) a tenant namespace. Names must be non-empty
  * and must not contain byte 0x1f. Returns NULL on failure (reason on the
@@ -112,119 +113,78 @@ const char* ds_open_error(void);
 ds_namespace_t* ds_namespace_open(ds_session_t* session, const char* name);
 void ds_namespace_close(ds_namespace_t* ns);
 
-/* Key-value operations on a namespace. ds_get copies up to value_cap bytes
- * and returns the FULL value size (call again with a larger buffer if it
- * exceeds value_cap); ds_put returns the byte count written. Both return a
- * negative DS_E* code on failure. */
+/* ---- key-value style (Table 2) ---- */
+
+/* ds_get copies up to value_cap bytes and returns the FULL value size
+ * (call again with a larger buffer if it exceeds value_cap); ds_put
+ * returns the byte count written. Both return a negative DS_E* code on
+ * failure. */
 DS_NODISCARD ssize_t ds_put(ds_namespace_t* ns, const char* key, const void* value,
                             size_t size);
 DS_NODISCARD ssize_t ds_get(ds_namespace_t* ns, const char* key, void* value,
                             size_t value_cap);
 DS_NODISCARD int ds_delete(ds_namespace_t* ns, const char* key);
 
-/* Maintenance. ds_scrub runs one full integrity pass (every shard, for a
- * remote session). ds_checkpoint forces a checkpoint on embedded sessions
- * and returns DS_ENOTSUP on remote ones (servers checkpoint themselves at
- * the log watermark). */
-DS_NODISCARD int ds_scrub(ds_session_t* session);
-DS_NODISCARD int ds_checkpoint(ds_session_t* session);
+/* ---- filesystem style (Table 2; embedded sessions only) ---- */
 
-/* Metrics scrape (DESIGN.md §10; remote sessions scrape over the wire and
- * include the server's net_* series). Returns a NUL-terminated malloc()ed
- * string the caller must free(), or NULL on failure. */
-#define DS_METRICS_JSON 0
-#define DS_METRICS_PROMETHEUS 1
-char* ds_session_metrics(ds_session_t* session, int format);
-
-/* Per-session error slot: the outcome of the most recent v3 call made
- * through this session or its namespaces. Sessions never observe each
- * other's errors (unlike the deprecated thread-local ds_last_error()),
- * which is what makes error handling sane with several remote sessions
- * on one thread — or one session per thread. The returned pointer refers
- * to session-owned storage and is invalidated by the session's next
- * failing call; copy it out if you need it longer. */
-int ds_session_last_error_code(const ds_session_t* session);
-const char* ds_session_last_error(const ds_session_t* session);
-
-/* ======================================================================
- * v2: deprecated flat surface (Table 2 of the paper)
- *
- * Every function below is a compatibility shim over the same engine the
- * v3 surface drives. Migration map (see DESIGN.md §15):
- *   dstore_open/dstore_close      -> ds_session_open("mem:"|"dir:...")/
- *                                    ds_session_close
- *   ds_init/ds_finalize           -> ds_namespace_open/ds_namespace_close
- *   oput/oget/odelete             -> ds_put/ds_get/ds_delete
- *   dstore_checkpoint             -> ds_checkpoint
- *   ds_metrics_dump               -> ds_session_metrics
- *   ds_last_error[_code]          -> ds_session_last_error[_code]
- * ====================================================================== */
-
-/* Open-mode flags for oopen (op_t in Table 2). */
+/* Open-mode flags for ds_object_open (op_t in Table 2). DS_O_CREATE
+ * requires DS_O_WRITE. */
 #define DS_O_READ 0x1u
 #define DS_O_WRITE 0x2u
 #define DS_O_CREATE 0x4u
 
-/* Create (create=nonzero) or recover (create=0) a store. Returns NULL on
- * failure. */
-DS_DEPRECATED("v2 surface; use ds_session_open()")
-dstore_t* dstore_open(const dstore_options* options, int create);
-DS_DEPRECATED("v2 surface; use ds_session_close()")
-void dstore_close(dstore_t* store);
+/* Open object `name` in namespace ns. `size` is a hint. Returns NULL on
+ * failure: DS_ENOTFOUND for a missing object without DS_O_CREATE,
+ * DS_ENOTSUP on a remote session. Close every object before its
+ * namespace. */
+ds_object_t* ds_object_open(ds_namespace_t* ns, const char* name, size_t size,
+                            uint32_t mode);
+void ds_object_close(ds_object_t* object);
 
-/* ---- environment (Table 2) ---- */
-DS_DEPRECATED("v2 surface; use ds_namespace_open()")
-ds_ctx_t* ds_init(dstore_t* store);
-DS_DEPRECATED("v2 surface; use ds_namespace_close()")
-void ds_finalize(ds_ctx_t* ctx);
+/* Positional I/O on an open object. Return the byte count transferred
+ * (0 for a read at or past the end), or DS_EINVAL when the handle's mode
+ * does not allow the access. */
+DS_NODISCARD ssize_t ds_read(ds_object_t* object, void* buf, size_t size, off_t offset);
+DS_NODISCARD ssize_t ds_write(ds_object_t* object, const void* buf, size_t size,
+                              off_t offset);
 
-/* ---- filesystem style (Table 2) ---- */
-DS_DEPRECATED("v2 surface; no v3 equivalent yet — stays until one exists")
-OBJECT* oopen(ds_ctx_t* ctx, const char* name, size_t size, uint32_t op);
-DS_DEPRECATED("v2 surface; no v3 equivalent yet — stays until one exists")
-void oclose(OBJECT* object);
-DS_DEPRECATED("v2 surface; no v3 equivalent yet — stays until one exists")
-DS_NODISCARD ssize_t oread(OBJECT* object, void* buf, size_t size, off_t offset);
-DS_DEPRECATED("v2 surface; no v3 equivalent yet — stays until one exists")
-DS_NODISCARD ssize_t owrite(OBJECT* object, const void* buf, size_t size, off_t offset);
+/* ---- concurrency control (Table 2; embedded sessions only) ---- */
 
-/* ---- key-value style (Table 2) ---- */
-/* oget copies up to value_cap bytes and returns the full value size. */
-DS_DEPRECATED("v2 surface; use ds_get()")
-DS_NODISCARD ssize_t oget(ds_ctx_t* ctx, const char* key, void* value, size_t value_cap);
-DS_DEPRECATED("v2 surface; use ds_put()")
-DS_NODISCARD ssize_t oput(ds_ctx_t* ctx, const char* key, const void* value, size_t size);
-DS_DEPRECATED("v2 surface; use ds_delete()")
-DS_NODISCARD int odelete(ds_ctx_t* ctx, const char* name);
-
-/* ---- concurrency control (Table 2) ---- */
-DS_DEPRECATED("v2 surface; no v3 equivalent yet — stays until one exists")
-DS_NODISCARD int olock(ds_ctx_t* ctx, const char* name);
-DS_DEPRECATED("v2 surface; no v3 equivalent yet — stays until one exists")
-DS_NODISCARD int ounlock(ds_ctx_t* ctx, const char* name);
+/* Per-object lock held by the namespace handle. Locks do not nest:
+ * re-locking a held name returns DS_EBUSY; unlocking a name this handle
+ * does not hold returns DS_ENOTFOUND. Remote sessions: DS_ENOTSUP. */
+DS_NODISCARD int ds_lock(ds_namespace_t* ns, const char* name);
+DS_NODISCARD int ds_unlock(ds_namespace_t* ns, const char* name);
 
 /* ---- maintenance ---- */
-DS_DEPRECATED("v2 surface; use ds_checkpoint()")
-DS_NODISCARD int dstore_checkpoint(dstore_t* store);
-DS_DEPRECATED("v2 surface")
-uint64_t dstore_object_count(dstore_t* store);
+
+/* ds_scrub runs one full integrity pass (every shard, for a remote
+ * session). ds_checkpoint forces a checkpoint on embedded sessions and
+ * returns DS_ENOTSUP on remote ones (servers checkpoint themselves at the
+ * log watermark). */
+DS_NODISCARD int ds_scrub(ds_session_t* session);
+DS_NODISCARD int ds_checkpoint(ds_session_t* session);
 
 /* ---- observability ---- */
-/* Scrape the store's metrics registry. Returns a NUL-terminated malloc()ed
- * string the caller must free(), or NULL on invalid arguments. */
-DS_DEPRECATED("v2 surface; use ds_session_metrics()")
-char* ds_metrics_dump(dstore_t* store, int format);
+
+/* Metrics scrape (DESIGN.md §10; remote sessions scrape over the wire and
+ * include the server's net_* series). Returns a NUL-terminated malloc()ed
+ * string the caller must free(), or NULL on failure (an unknown format
+ * records DS_EINVAL on the session). */
+#define DS_METRICS_JSON 0
+#define DS_METRICS_PROMETHEUS 1
+char* ds_session_metrics(ds_session_t* session, int format);
 
 /* ---- error reporting ---- */
-/* Outcome of the calling thread's most recent v2 binding call (and of
- * ds_session_open() failures, which have no session to report through).
- * The slot is THREAD-LOCAL: each thread observes only its own calls. The
- * returned pointer is invalidated by the same thread's next binding call.
- * v3 code should read the per-session slot instead. */
-DS_DEPRECATED("v2 surface; use ds_session_last_error_code()")
-int ds_last_error_code(void);
-DS_DEPRECATED("v2 surface; use ds_session_last_error()")
-const char* ds_last_error(void);
+
+/* Per-session error slot: the outcome of the most recent call made
+ * through this session or its handles (DS_OK and "" after a success).
+ * Sessions never observe each other's errors, which keeps error handling
+ * sane with several sessions on one thread — or one session per thread.
+ * The returned pointer refers to session-owned storage and is invalidated
+ * by the session's next failing call; copy it out if you need it longer. */
+int ds_session_last_error_code(const ds_session_t* session);
+const char* ds_session_last_error(const ds_session_t* session);
 
 #ifdef __cplusplus
 } /* extern "C" */
