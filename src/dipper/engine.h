@@ -57,6 +57,7 @@
 #include "dipper/log.h"
 #include "dipper/root.h"
 #include "ds/key.h"
+#include "ds/name_counts.h"
 #include "fault/fault.h"
 #include "pmem/pool.h"
 
@@ -178,7 +179,9 @@ class Engine {
   // Total PMEM pool bytes this configuration needs.
   static size_t required_pool_bytes(const EngineConfig& cfg);
 
-  Engine(pmem::Pool* pool, SpaceClient* client, EngineConfig cfg);
+  // `max_names` is the object capacity of the store on top (0 for a bare
+  // engine); it sizes the in-flight table so no two names share a slot.
+  Engine(pmem::Pool* pool, SpaceClient* client, EngineConfig cfg, uint64_t max_names = 0);
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -385,13 +388,10 @@ class Engine {
   void cow_copy_page(size_t page_idx);
   friend struct CowFaultRouter;
 
-  // In-flight write tracking (open-addressed counter table, like the
-  // read-count table but for uncommitted log records).
-  struct InflightSlot {
-    std::atomic<uint64_t> tag{0};
-    std::atomic<int64_t> count{0};
-  };
-  InflightSlot& inflight_slot(const Key& name) const;
+  // In-flight write tracking: uncommitted log records per name. Writers
+  // claim a name's slot; readers only look it up, so a read never takes a
+  // slot. Sized at twice the names that can hold one so each name keeps a
+  // slot of its own (DESIGN.md §3).
   void inflight_inc(const Key& name);
   void inflight_dec(const Key& name);
 
@@ -431,7 +431,7 @@ class Engine {
   std::atomic<const char*> abandon_point_{nullptr};
   std::atomic<bool> stop_{false};
 
-  mutable std::vector<InflightSlot> inflight_;
+  NameCounts inflight_;
   EngineStats stats_;
   mutable Mutex err_mu_{"dipper.err"};
   Status last_ckpt_error_ = Status::ok();

@@ -9,48 +9,35 @@
 // volatile (its correct post-crash state is all-zero), so it lives outside
 // the arena.
 //
-// Open addressing over (name-hash tag, count) slots; slots are claimed with
-// CAS and never released — the live-slot count is bounded by the number of
-// distinct object names touched, and a hash collision merely makes two
-// objects share a counter, which is conservative (extra waiting), never
+// Only readers claim a slot (NameCounts): a writer's lookup leaves a name
+// with no slot alone, since no slot means no reader. A probe gives up after
+// 64 slots and shares the home slot, so a table that readers of many
+// distinct names have filled degrades into shared counters instead of
+// full-table scans. A shared counter is conservative (extra waiting), never
 // unsafe.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <thread>
-#include <vector>
 
 #include "ds/key.h"
+#include "ds/name_counts.h"
 
 namespace dstore {
 
 class ReadCountTable {
  public:
-  explicit ReadCountTable(size_t capacity = 1 << 16)
-      : slots_(round_up_pow2(capacity)), mask_(slots_.size() - 1) {}
+  explicit ReadCountTable(size_t capacity = 1 << 16) : counts_(capacity, 64) {}
 
   // Reader entering: fetch-and-add on the object's counter.
-  void inc(const Key& name) { slot_for(name).count.fetch_add(1, std::memory_order_acquire); }
+  void inc(const Key& name) { counts_.claim(name).count.fetch_add(1, std::memory_order_acquire); }
   // Reader leaving.
-  void dec(const Key& name) { slot_for(name).count.fetch_sub(1, std::memory_order_release); }
+  void dec(const Key& name) { counts_.claim(name).count.fetch_sub(1, std::memory_order_release); }
 
-  uint64_t load(const Key& name) {
-    return slot_for(name).count.load(std::memory_order_acquire);
-  }
+  uint64_t load(const Key& name) const { return (uint64_t)counts_.load(name); }
 
   // Writer-side: poll until no reader holds the object (§4.4: "we simply
   // poll on it until it is zero").
-  void wait_until_unread(const Key& name) {
-    Slot& s = slot_for(name);
-    int spins = 0;
-    while (s.count.load(std::memory_order_acquire) != 0) {
-      if (++spins > 64) {
-        std::this_thread::yield();
-        spins = 0;
-      }
-    }
-  }
+  void wait_until_unread(const Key& name) const { counts_.wait_at_most(name, 0); }
 
   // RAII reader guard.
   class ReadGuard {
@@ -66,38 +53,7 @@ class ReadCountTable {
   };
 
  private:
-  struct Slot {
-    std::atomic<uint64_t> tag{0};  // name hash (0 = empty; hash 0 remapped to 1)
-    std::atomic<uint64_t> count{0};
-  };
-
-  static size_t round_up_pow2(size_t v) {
-    size_t p = 1;
-    while (p < v) p <<= 1;
-    return p;
-  }
-
-  Slot& slot_for(const Key& name) {
-    uint64_t h = name.hash();
-    if (h == 0) h = 1;
-    size_t idx = h & mask_;
-    for (size_t probe = 0; probe < slots_.size(); probe++, idx = (idx + 1) & mask_) {
-      uint64_t tag = slots_[idx].tag.load(std::memory_order_acquire);
-      if (tag == h) return slots_[idx];
-      if (tag == 0) {
-        uint64_t expected = 0;
-        if (slots_[idx].tag.compare_exchange_strong(expected, h, std::memory_order_acq_rel))
-          return slots_[idx];
-        if (expected == h) return slots_[idx];
-      }
-    }
-    // Table saturated: collapse to the home slot. Shared counters are
-    // conservative (extra conflicts), never incorrect.
-    return slots_[h & mask_];
-  }
-
-  std::vector<Slot> slots_;
-  size_t mask_;
+  NameCounts counts_;
 };
 
 }  // namespace dstore

@@ -47,7 +47,8 @@ size_t DStoreConfig::required_pool_bytes(const DStoreConfig& cfg) {
 // ---------------------------------------------------------------------------
 
 DStore::DStore(pmem::Pool* pool, ssd::BlockDevice* device, DStoreConfig cfg)
-    : pool_(pool), device_(device), cfg_(cfg), read_counts_(1 << 16) {
+    : pool_(pool), device_(device), cfg_(cfg),
+      read_counts_(std::max<uint64_t>(1 << 16, 2 * cfg.max_objects)) {
   init_metrics();
 }
 
@@ -61,7 +62,8 @@ Result<std::unique_ptr<DStore>> DStore::create(pmem::Pool* pool, ssd::BlockDevic
     return Status::invalid_argument("PMEM pool too small");
   }
   std::unique_ptr<DStore> store(new DStore(pool, device, cfg));
-  store->engine_ = std::make_unique<dipper::Engine>(pool, store.get(), cfg.engine);
+  store->engine_ =
+      std::make_unique<dipper::Engine>(pool, store.get(), cfg.engine, cfg.max_objects);
   DSTORE_RETURN_IF_ERROR(store->engine_->init_fresh());
   store->engine_->space().set_lock(&store->arena_mu_);
   uint64_t bp_off = badpage_region_off(cfg.engine);
@@ -77,7 +79,8 @@ Result<std::unique_ptr<DStore>> DStore::recover(pmem::Pool* pool, ssd::BlockDevi
                                                 DStoreConfig cfg) {
   cfg.engine = effective_engine_config(cfg);
   std::unique_ptr<DStore> store(new DStore(pool, device, cfg));
-  store->engine_ = std::make_unique<dipper::Engine>(pool, store.get(), cfg.engine);
+  store->engine_ =
+      std::make_unique<dipper::Engine>(pool, store.get(), cfg.engine, cfg.max_objects);
   DSTORE_RETURN_IF_ERROR(store->engine_->recover());
   store->engine_->space().set_lock(&store->arena_mu_);
   uint64_t bp_off = badpage_region_off(cfg.engine);
@@ -267,6 +270,10 @@ void DStore::ds_finalize(ds_ctx_t* ctx) {
   // their ops are already committed and their data already durable.
   for (auto& q : ctx->pending_io) q->wait_all();
   ctx->pending_io.clear();
+  // A context's object locks die with it, or the next olock on the name
+  // would wait forever for an owner that is gone.
+  for (const std::string& name : ctx->held_locks) engine_->unlock_object({}, Key::from(name));
+  ctx->held_locks.clear();
   live_ctxs_.fetch_sub(1, std::memory_order_relaxed);
   delete ctx;
 }
@@ -377,7 +384,7 @@ Status DStore::replay_parallel(View& v, std::span<const LogRecordView> records) 
   bool done = false;
   Status lane2_status;
   std::atomic<bool> failed{false};
-  ReadCountTable pending(1 << 14);
+  ReadCountTable pending(std::max<size_t>(1 << 14, 2 * records.size()));
   SharedSpinLock replay_btree_mu{"dstore.replay_btree"};
 
   // Lane 2 inherits this thread's lockdep role (recovery when called from

@@ -185,6 +185,10 @@ struct Server::Impl {
     std::vector<uint64_t> held_conns;
     std::vector<uint64_t> held_scratch;  // release_holds' swap buffer
     uint64_t next_reap_ns = 0;           // reap_idle runs at most once per ms
+    // handle_get's read buffer: grown to the largest value served (bounded
+    // by max_frame_bytes), never shrunk or cleared, so a GET neither
+    // allocates nor zero-fills.
+    std::string get_buf;
 
     std::thread thread;  // runs run_loop(this); joined by stop()
   };
@@ -561,17 +565,19 @@ struct Server::Impl {
         return;
       }
     }
-    // One read into a block-sized buffer; oget reports the full value
-    // size, so a larger value re-sizes the buffer and reads again. The read
-    // completes at submission with its device time still outstanding: the
-    // response is held until that deadline instead of spinning it out here.
-    std::string body;
+    // One read into the loop's buffer (at least a block); oget reports the
+    // full value size, so a larger value grows the buffer and reads again.
+    // The read completes at submission with its device time still
+    // outstanding: the response is held until that deadline instead of
+    // spinning it out here.
+    std::string& buf = c->loop->get_buf;
+    size_t len = 0;
     uint64_t deadline = 0;
     for (size_t want = store->block_size();;) {
-      body.resize(want);
+      if (buf.size() < want) buf.resize(want);
       await_read_slot(c->loop);
       uint64_t d = 0;
-      auto got = store->get_on(session, e->shard, full, body.data(), body.size(), &d);
+      auto got = store->get_on(session, e->shard, full, buf.data(), buf.size(), &d);
       if (d != 0) c->loop->reads_in_flight.push(d);
       deadline = std::max(deadline, d);
       if (!got.is_ok()) {
@@ -583,14 +589,14 @@ struct Server::Impl {
                        Status::invalid_argument("value exceeds frame limit"));
         return;
       }
-      if (got.value() <= body.size()) {
-        body.resize(got.value());
+      if (got.value() <= buf.size()) {
+        len = got.value();
         break;
       }
       want = got.value();
     }
     size_t off = c->out.size();
-    respond(c, op, f.hdr.req_id, 0, body);
+    respond(c, op, f.hdr.req_id, 0, std::string_view(buf.data(), len));
     if (deadline > now_ns()) hold(c, off, deadline);
   }
 

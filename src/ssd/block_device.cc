@@ -82,12 +82,8 @@ Result<uint64_t> BlockDevice::submit_io(const IoDesc& d) {
 // ---------------------------------------------------------------------------
 
 RamBlockDevice::RamBlockDevice(DeviceConfig cfg) : cfg_(cfg) {
-  media_ = std::make_unique<char[]>(cfg_.capacity());
-  std::memset(media_.get(), 0, cfg_.capacity());
-  if (!cfg_.power_loss_protection) {
-    cache_view_ = std::make_unique<char[]>(cfg_.capacity());
-    std::memset(cache_view_.get(), 0, cfg_.capacity());
-  }
+  media_ = HugeRegion(cfg_.capacity());  // already zero: fresh media reads zeros
+  if (!cfg_.power_loss_protection) cache_view_ = HugeRegion(cfg_.capacity());
   if (cfg_.checksum_pages) {
     size_t npages = cfg_.capacity() / cfg_.page_size;
     tags_media_.assign(npages, 0);  // fresh media: every page unknown
@@ -271,7 +267,7 @@ void RamBlockDevice::flip_media_bit(uint64_t byte_off, uint32_t bit) {
   MutexGuard g(mu_);
   char mask = static_cast<char>(1u << (bit % 8));
   media_[byte_off] ^= mask;
-  if (cache_view_ != nullptr) cache_view_[byte_off] ^= mask;
+  if (cache_view_.get() != nullptr) cache_view_[byte_off] ^= mask;
 }
 
 Status RamBlockDevice::flush_cache() {

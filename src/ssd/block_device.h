@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/bandwidth.h"
+#include "common/huge_pages.h"
 #include "common/lockdep.h"
 #include "common/latency_model.h"
 #include "common/status.h"
@@ -211,8 +212,8 @@ class RamBlockDevice final : public BlockDevice {
                      uint64_t pos, size_t len, std::vector<uint64_t>* bad) const;
 
   DeviceConfig cfg_;
-  std::unique_ptr<char[]> media_;        // durable contents
-  std::unique_ptr<char[]> cache_view_;   // current contents incl. cached writes (!plp only)
+  HugeRegion media_;       // durable contents
+  HugeRegion cache_view_;  // current contents incl. cached writes (!plp only)
   // Page-checksum sidecar, one tag per page mirroring media_/cache_view_.
   // 0 = never written (unverifiable); else (1<<32) | crc32c(page, page_idx).
   std::vector<uint64_t> tags_media_;

@@ -192,6 +192,12 @@ TEST(RamDevice, SubmitIoHonorsWriteCacheSemantics) {
   EXPECT_EQ(std::memcmp(in, out, sizeof(in)), 0);  // flushed => durable
 }
 
+// A FileBlockDevice image and the page-checksum sidecar written beside it.
+void remove_image(const std::filesystem::path& path) {
+  std::filesystem::remove(path);
+  std::filesystem::remove(path.string() + ".crc");
+}
+
 TEST(FileDevice, SubmitIoCoalescedSpanRoundTrips) {
   auto path = std::filesystem::temp_directory_path() / "dstore_blockdev_async.bin";
   auto dev = FileBlockDevice::open(path.string(), small_cfg(), /*create=*/true);
@@ -204,7 +210,7 @@ TEST(FileDevice, SubmitIoCoalescedSpanRoundTrips) {
   auto r = dev.value()->submit_io(IoDesc{3, 0, out.size(), nullptr, out.data()});
   ASSERT_TRUE(r.is_ok());
   EXPECT_EQ(std::memcmp(in.data(), out.data(), in.size()), 0);
-  std::filesystem::remove(path);
+  remove_image(path);
 }
 
 TEST(FileDevice, PersistsAcrossReopen) {
@@ -225,7 +231,7 @@ TEST(FileDevice, PersistsAcrossReopen) {
     ASSERT_TRUE(dev.value()->read(5, 64, out, sizeof(out)).is_ok());
     for (char c : out) EXPECT_EQ((unsigned char)c, 0x61u);
   }
-  std::filesystem::remove(path);
+  remove_image(path);
 }
 
 TEST(FileDevice, OpenMissingFails) {

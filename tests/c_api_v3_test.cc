@@ -5,10 +5,13 @@
 //
 // The CApi suite checks the Table 2 calls and the error model; CApiV3
 // checks sessions, namespaces and transports.
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -343,6 +346,37 @@ TEST(CApiV3, ObjectsAreNamespaceScoped) {
   EXPECT_EQ(ds_object_open(b, "file", 0, DS_O_READ), nullptr);
   EXPECT_EQ(ds_session_last_error_code(m.s), DS_ENOTFOUND);
   EXPECT_EQ(ds_get(b, "file", buf, sizeof(buf)), DS_ENOTFOUND);
+}
+
+// Closing a namespace releases the object locks its context still holds,
+// so a namespace opened later can lock the same name.
+TEST(CApiV3, NamespaceCloseReleasesLocks) {
+  ds_session_options o = small_opts();
+  ds_session_t* s = ds_session_open("mem:", &o);
+  ASSERT_NE(s, nullptr);
+  ds_namespace_t* ns = ds_namespace_open(s, "t");
+  ASSERT_NE(ns, nullptr);
+  ASSERT_EQ(ds_lock(ns, "dir"), DS_OK);
+  ds_namespace_close(ns);
+
+  ns = ds_namespace_open(s, "t");
+  ASSERT_NE(ns, nullptr);
+  // A leaked lock makes ds_lock wait forever: lock off-thread with a
+  // deadline so that fails the test instead of hanging the suite.
+  auto rc = std::make_shared<std::atomic<int>>(1);
+  std::thread([ns, rc] { rc->store(ds_lock(ns, "dir")); }).detach();
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (rc->load() == 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (rc->load() == 1) {
+    // The stuck thread still uses ns and s: leave both open.
+    FAIL() << "ds_lock still waiting 5 s after the holder's namespace closed";
+  }
+  EXPECT_EQ(rc->load(), DS_OK);
+  EXPECT_EQ(ds_unlock(ns, "dir"), DS_OK);
+  ds_namespace_close(ns);
+  ds_session_close(s);
 }
 
 // A bad format is a failure of THIS session's call, so it lands on the
